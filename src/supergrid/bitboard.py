@@ -1,0 +1,194 @@
+"""Box-mask kernel: structural predicates answered from a subset bitmask.
+
+A subset of the width x height cell box is a Python int with bit i set for
+cell (i % width, i // width).  The numbering is row-major, so ascending bit
+order is the (y, x) vertex order used everywhere else in the library.  A
+:class:`Box` holds the tables for one box size, built once and cached:
+
+* ``neighbours[i]``: the king-move neighbour mask of cell i;
+* ``lines``: one mask per lattice line (horizontal, vertical, diagonal,
+  antidiagonal) holding at least three cells, since shorter lines cannot
+  have a gap;
+* ``direction_bits[i]``: the bit of cell i's neighbour in each
+  :class:`~supergrid.grid.Direction` (UL..DR), or 0 off the box.
+
+Connectivity is a flood fill by king-move dilation, done with shifts and
+column masks over the whole board.  Local connectivity reads a 256-entry
+table indexed by a vertex's 8-bit neighbourhood pattern.  The predicates
+follow the conventions of :mod:`supergrid.classify`.
+
+This is the fast path for exhaustive box sweeps.  The ``Point`` predicates
+in :mod:`supergrid.classify` remain the general-input API (sparse graphs
+with large coordinates fit no mask) and the reference this module is tested
+against.
+"""
+
+from __future__ import annotations
+
+import functools
+
+from .grid import OFFSETS, Point, SupergridGraph
+
+
+@functools.lru_cache(maxsize=4096)
+def _cell_point(i: int, width: int) -> Point:
+    return Point(i % width, i // width)
+
+
+def mask_to_graph(mask: int, width: int) -> SupergridGraph:
+    """Subset bitmask (row-major, bit i = cell (i % width, i // width)) to graph.
+
+    Graphs decoded with the same width share their Point objects, so holding
+    thousands of them costs little more than their vertex sets.
+    """
+    points = []
+    m = mask
+    while m:
+        low = m & -m
+        points.append(_cell_point(low.bit_length() - 1, width))
+        m ^= low
+    return SupergridGraph(points)
+
+
+class Box:
+    """Tables and predicates for subsets of one width x height box."""
+
+    __slots__ = ("width", "height", "full", "_not_first_col", "_not_last_col",
+                 "neighbours", "lines", "direction_bits")
+
+    def __init__(self, width: int, height: int):
+        self.width = width
+        self.height = height
+        cells = width * height
+        self.full = (1 << cells) - 1
+        first_col = sum(1 << (y * width) for y in range(height))
+        self._not_first_col = self.full & ~first_col
+        self._not_last_col = self.full & ~(first_col << (width - 1))
+
+        def bit(x: int, y: int) -> int:
+            return 1 << (y * width + x) if 0 <= x < width and 0 <= y < height else 0
+
+        self.direction_bits = tuple(
+            tuple(bit(i % width + dx, i // width + dy) for dx, dy in OFFSETS)
+            for i in range(cells)
+        )
+        self.neighbours = tuple(sum(bits) for bits in self.direction_bits)
+
+        lines: dict[tuple[str, int], int] = {}
+        for y in range(height):
+            for x in range(width):
+                for key in (("h", y), ("v", x), ("d", y - x), ("a", y + x)):
+                    lines[key] = lines.get(key, 0) | bit(x, y)
+        self.lines = tuple(m for m in lines.values() if m.bit_count() >= 3)
+
+    def is_connected(self, mask: int) -> bool:
+        """True iff the subset has at most one vertex or one flood reaches all."""
+        if not mask:
+            return True
+        width, left, right = self.width, self._not_first_col, self._not_last_col
+        reach = mask & -mask
+        while True:  # one king-move dilation per round, kept inside the subset
+            h = reach | ((reach << 1) & left) | ((reach >> 1) & right)
+            grown = (h | (h << width) | (h >> width)) & mask
+            if grown == reach:
+                return grown == mask
+            reach = grown
+
+    def is_two_connected(self, mask: int) -> bool:
+        """True iff |V| >= 3, the subset is connected, and no vertex cuts it."""
+        if mask.bit_count() < 3 or not self.is_connected(mask):
+            return False
+        m = mask
+        while m:
+            low = m & -m
+            m ^= low
+            if not self.is_connected(mask ^ low):
+                return False
+        return True
+
+    def is_linear_convex(self, mask: int) -> bool:
+        """True iff every lattice line meets the subset in one contiguous run.
+
+        Bit order is monotone along every line, so a run is contiguous iff the
+        line holds no absent cell between its lowest and highest member bit.
+        """
+        for line in self.lines:
+            seg = mask & line
+            if seg and line & ((1 << seg.bit_length()) - (seg & -seg)) != seg:
+                return False
+        return True
+
+    def pattern(self, mask: int, i: int) -> int:
+        """8-bit neighbourhood of cell i in the subset, bit d for Direction d."""
+        out = 0
+        for d, b in enumerate(self.direction_bits[i]):
+            if mask & b:
+                out |= 1 << d
+        return out
+
+    def is_locally_connected(self, mask: int) -> bool:
+        """True iff the induced neighbourhood of every vertex is connected."""
+        table = local_table()
+        m = mask
+        while m:
+            low = m & -m
+            m ^= low
+            if not table[self.pattern(mask, low.bit_length() - 1)]:
+                return False
+        return True
+
+    def forced_vertex_violations(self, mask: int) -> list[tuple[int, int]]:
+        """(vertex, missing forced neighbour) cell pairs, as in verification.
+
+        For each missing cell c the four patterns are: c's left and right
+        members with c's lower (U of vertex c + width) or upper (D of vertex
+        c - width) neighbour present, and c's upper and lower members with
+        c's right (L of vertex c + 1) or left (R of vertex c - 1) present.
+        Pairs are listed by vertex, then in the pattern order U, L, R, D.
+        """
+        width = self.width
+        absent = self.full & ~mask
+        left_in = (mask << 1) & self._not_first_col
+        right_in = (mask >> 1) & self._not_last_col
+        up_in = (mask << width) & self.full
+        down_in = mask >> width
+        horizontal = absent & left_in & right_in
+        vertical = absent & up_in & down_in
+        shifted = (
+            ((horizontal & down_in) << width, width),  # UL and UR force U
+            ((vertical & right_in) << 1, 1),           # UL and DL force L
+            ((vertical & left_in) >> 1, -1),           # UR and DR force R
+            ((horizontal & up_in) >> width, -width),   # DL and DR force D
+        )
+        vertices = 0
+        for v_mask, _ in shifted:
+            vertices |= v_mask
+        out = []
+        while vertices:
+            low = vertices & -vertices
+            vertices ^= low
+            v = low.bit_length() - 1
+            for v_mask, offset in shifted:
+                if v_mask & low:
+                    out.append((v, v - offset))
+        return out
+
+
+@functools.lru_cache(maxsize=32)
+def box(width: int, height: int) -> Box:
+    """The cached tables for one box size."""
+    if width < 1 or height < 1:
+        raise ValueError("box dimensions must be positive")
+    return Box(width, height)
+
+
+@functools.lru_cache(maxsize=1)
+def local_table() -> tuple[bool, ...]:
+    """Connectedness of every 8-bit neighbourhood pattern, centre excluded."""
+    ring = box(3, 3)
+    cells = [1 << ((dy + 1) * 3 + dx + 1) for dx, dy in OFFSETS]
+    return tuple(
+        ring.is_connected(sum(c for d, c in enumerate(cells) if pattern >> d & 1))
+        for pattern in range(256)
+    )
+

@@ -42,6 +42,8 @@ def _read_graph(path: str):
             text = handle.read()
     except OSError as exc:
         raise SupergridError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SupergridError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
     try:
         return parse_lattice(text)
     except SupergridError as exc:
@@ -165,6 +167,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_trace(args) -> int:
+    if args.cell < 1:
+        raise SupergridError(f"--cell must be >= 1, got {args.cell}")
     g = _read_graph(args.file)
     result = find_hamiltonian_cycle(g, strict=not args.permissive)
     code = _report_solver_outcome(result, args)

@@ -2,8 +2,10 @@
 
 Exhaustive mode walks every subset of a width x height cell box as a bitmask
 in row-major order (bit i = cell (i % width, i // width)), ascending, which
-makes the enumeration order part of the external contract.  The box is hard
-capped at 25 cells (2**25 subsets) so exhaustive runs stay seconds-scale.
+makes the enumeration order part of the external contract.  Required
+predicates are tested on the mask by the :mod:`supergrid.bitboard` kernel.
+The box is hard capped at 25 cells (2**25 subsets) so exhaustive runs stay
+seconds-scale.
 
 Randomized mode grows a connected blob cell by cell and then repairs it to
 linear convexity by closing every line gap; uniform subsets of useful size
@@ -17,6 +19,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
+from . import bitboard
+from .bitboard import mask_to_graph
 from .classify import (
     is_connected,
     is_linear_convex,
@@ -67,29 +71,32 @@ def _satisfies(g: SupergridGraph, require: frozenset[str]) -> bool:
     return all(PREDICATES[name](g) for name in _PREDICATE_ORDER if name in require)
 
 
+def box_masks(width: int, height: int) -> range:
+    """Every subset mask of the box, ascending; raises BoxTooLarge past the cap."""
+    cells = width * height
+    if cells > EXHAUSTIVE_CELL_CAP:
+        raise BoxTooLarge(f"{width}x{height} exceeds {EXHAUSTIVE_CELL_CAP} cells")
+    return range(1 << cells)
+
+
 def enumerate_graphs(spec: EnumSpec) -> Iterator[SupergridGraph]:
     """Stream every box subset meeting ``min_vertices`` and ``require``.
 
-    With ``dedup_symmetry`` the stream yields ``canonical_form(g)`` once per
-    equivalence class under the dihedral group plus translation.
+    The predicates in ``require`` are tested on the subset mask with the
+    :mod:`supergrid.bitboard` kernel, so rejected subsets never become
+    graphs.  With ``dedup_symmetry`` the stream yields ``canonical_form(g)``
+    once per equivalence class under the dihedral group plus translation.
     """
-    cells = spec.width * spec.height
-    if cells > EXHAUSTIVE_CELL_CAP:
-        raise BoxTooLarge(f"{spec.width}x{spec.height} exceeds {EXHAUSTIVE_CELL_CAP} cells")
-    coords = [Point(i % spec.width, i // spec.width) for i in range(cells)]
+    masks = box_masks(spec.width, spec.height)
+    kernel = bitboard.box(spec.width, spec.height)
+    checks = [getattr(kernel, "is_" + name) for name in _PREDICATE_ORDER if name in spec.require]
     seen: set[tuple[tuple[int, int], ...]] = set()
-    for mask in range(1 << cells):
+    for mask in masks:
         if mask.bit_count() < spec.min_vertices:
             continue
-        points = []
-        m = mask
-        while m:
-            low = m & -m
-            points.append(coords[low.bit_length() - 1])
-            m ^= low
-        g = SupergridGraph(points)
-        if not _satisfies(g, spec.require):
+        if not all(check(mask) for check in checks):
             continue
+        g = mask_to_graph(mask, spec.width)
         if spec.dedup_symmetry:
             canon = canonical_form(g)
             key = tuple((p.x, p.y) for p in canon.sorted_vertices())

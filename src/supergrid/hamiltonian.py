@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .classify import is_linear_convex, is_two_connected
 from .cycles import Cycle, validate_cycle
@@ -490,30 +490,44 @@ def find_hamiltonian_cycle(
 def brute_force_hamiltonian(g: SupergridGraph, bound: int = 24) -> Cycle | None:
     """Independent oracle: exhaustive backtracking, no rewiring machinery.
 
-    Anchored at the lexicographically smallest vertex; prunes branches where
-    some unvisited vertex has fewer than two usable neighbors or where the
-    unvisited set is no longer reachable from the current endpoint.  The
-    result (some Hamiltonian cycle, or None) is deterministic.
+    Numbers the vertices in (y, x) order and hands their adjacency masks to
+    :func:`brute_force_hamiltonian_mask`; the result (some Hamiltonian cycle
+    from the smallest vertex, or None) is deterministic.
     """
-    n = len(g)
+    verts = g.sorted_vertices()
+    index = {v: i for i, v in enumerate(verts)}
+    adjacency = []
+    for v in verts:
+        mask = 0
+        for dx, dy in OFFSETS:
+            j = index.get(Point(v.x + dx, v.y + dy))
+            if j is not None:
+                mask |= 1 << j
+        adjacency.append(mask)
+    path = brute_force_hamiltonian_mask(adjacency, (1 << len(verts)) - 1, bound)
+    return None if path is None else Cycle(tuple(verts[i] for i in path))
+
+
+def brute_force_hamiltonian_mask(
+    adjacency: Sequence[int], vertices: int, bound: int = 24
+) -> list[int] | None:
+    """Backtracking search for a Hamiltonian cycle of a vertex bitmask.
+
+    ``adjacency[i]`` is the neighbour mask of vertex i; bits outside
+    ``vertices`` are ignored, so a whole box's neighbour table serves every
+    subset of it.  Anchored at the lowest vertex, neighbours tried in
+    ascending order; prunes branches where some unvisited vertex has fewer
+    than two usable neighbours or where the unvisited set is no longer
+    reachable from the current endpoint.  Returns the cycle as vertex numbers
+    from the anchor, or None.
+    """
+    n = vertices.bit_count()
     if n > bound:
         raise SizeBoundExceeded(f"{n} vertices exceeds the bound of {bound}")
     if n < 3:
         return None
-    verts = g.sorted_vertices()
-    index = {v: i for i, v in enumerate(verts)}
-    adj_mask = [0] * n
-    adj_list: list[list[int]] = [[] for _ in range(n)]
-    for i, v in enumerate(verts):
-        for dx, dy in OFFSETS:
-            w = Point(v.x + dx, v.y + dy)
-            j = index.get(w)
-            if j is not None:
-                adj_mask[i] |= 1 << j
-                adj_list[i].append(j)
-        adj_list[i].sort()
-    full = (1 << n) - 1
-    path = [0]
+    start = vertices & -vertices
+    path = [start.bit_length() - 1]
 
     def reachable(cur: int, free: int) -> bool:
         seen = 1 << cur
@@ -523,7 +537,7 @@ def brute_force_hamiltonian(g: SupergridGraph, bound: int = 24) -> Cycle | None:
             f = frontier
             while f:
                 low = f & -f
-                nxt |= adj_mask[low.bit_length() - 1]
+                nxt |= adjacency[low.bit_length() - 1]
                 f ^= low
             nxt &= free | (1 << cur)
             nxt &= ~seen
@@ -533,28 +547,30 @@ def brute_force_hamiltonian(g: SupergridGraph, bound: int = 24) -> Cycle | None:
             frontier = nxt
         return free & ~seen == 0
 
-    def search(cur: int, visited: int) -> bool:
-        if visited == full:
-            return bool(adj_mask[cur] & 1)
-        free = full & ~visited
-        avail = free | (1 << cur) | 1
-        f = free
+    def search(cur: int, visited: int, touched: int) -> bool:
+        # Only vertices in ``touched`` can have lost a usable neighbour since
+        # the parent call, which checked every other free vertex already.
+        if visited == vertices:
+            return bool(adjacency[cur] & start)
+        free = vertices & ~visited
+        avail = free | (1 << cur) | start
+        f = free & touched
         while f:
             low = f & -f
-            v = low.bit_length() - 1
-            if (adj_mask[v] & avail).bit_count() < 2:
+            if (adjacency[low.bit_length() - 1] & avail).bit_count() < 2:
                 return False
             f ^= low
         if not reachable(cur, free):
             return False
-        for nxt in adj_list[cur]:
-            if not visited & (1 << nxt):
-                path.append(nxt)
-                if search(nxt, visited | (1 << nxt)):
-                    return True
-                path.pop()
+        options = adjacency[cur] & free
+        while options:
+            low = options & -options
+            nxt = low.bit_length() - 1
+            path.append(nxt)
+            if search(nxt, visited | low, adjacency[cur]):
+                return True
+            path.pop()
+            options ^= low
         return False
 
-    if search(0, 1):
-        return Cycle(tuple(verts[i] for i in path))
-    return None
+    return path if search(path[0], start, vertices) else None

@@ -1,6 +1,6 @@
 """Exhaustive machine-verification suites over all subsets of a cell box.
 
-One streaming pass drives four checks at once:
+One streaming pass over the subset bitmasks drives four checks at once:
 
 * local connectivity is implied by 2-connectivity plus linear convexity
   (zero tolerated exceptions);
@@ -11,6 +11,14 @@ One streaming pass drives four checks at once:
 * the independent backtracking oracle agrees in both directions on every
   subset small enough to search exhaustively.
 
+The pass runs on masks: every predicate comes from the
+:mod:`supergrid.bitboard` kernel, and only the strict instances become
+``SupergridGraph`` objects for the unchanged solver.  The ``Point``
+predicates of :mod:`supergrid.classify` stay the general-input API and the
+reference the kernel is tested against.  The oracle searches the same masks
+with adjacency from the kernel's neighbour table; it shares no code with the
+solver, so its agreement remains independent evidence.
+
 The pass also aggregates how often each extension rule fired, which is the
 committed rule-frequency artifact; any fallback firing is flagged for audit
 but is not itself a violation.
@@ -20,12 +28,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .classify import is_linear_convex, is_locally_connected, is_two_connected
-from .enumeration import EnumSpec, enumerate_graphs
+from . import bitboard
+from .bitboard import mask_to_graph
+
+# The sweep itself uses none of the Point predicates, the enumerator or the
+# Point oracle; they stay importable from this module as the general API.
+from .classify import is_linear_convex, is_locally_connected, is_two_connected  # noqa: F401
+from .enumeration import box_masks, enumerate_graphs  # noqa: F401
 from .grid import Point, SupergridGraph
-from .hamiltonian import (
+from .hamiltonian import (  # noqa: F401
     ExtensionRule,
     brute_force_hamiltonian,
+    brute_force_hamiltonian_mask,
     find_hamiltonian_cycle,
 )
 
@@ -105,18 +119,6 @@ class SuiteReport:
         ]
 
 
-def mask_to_graph(mask: int, width: int) -> SupergridGraph:
-    """Subset bitmask (row-major, bit i = cell (i % width, i // width)) to graph."""
-    points = []
-    m = mask
-    while m:
-        low = m & -m
-        i = low.bit_length() - 1
-        points.append(Point(i % width, i // width))
-        m ^= low
-    return SupergridGraph(points)
-
-
 def solve_with_growth_check(g: SupergridGraph) -> tuple[bool, bool, dict[str, int]]:
     """Run the strict solver step by step.
 
@@ -138,36 +140,38 @@ def solve_with_growth_check(g: SupergridGraph) -> tuple[bool, bool, dict[str, in
 
 
 def run_box_suite(width: int, height: int, oracle_limit: int = 12) -> SuiteReport:
-    """Single-threaded sweep of every subset of the width x height box."""
+    """Single-threaded sweep of every subset of the width x height box.
+
+    Violations are recorded by subset mask (see :mod:`supergrid.bitboard`).
+    """
     report = SuiteReport(width=width, height=height)
-    spec = EnumSpec(width=width, height=height)
-    # With no filters every bitmask yields exactly one graph, so the stream
-    # index IS the subset mask; violations are recorded by that mask.
-    for mask, g in enumerate(enumerate_graphs(spec)):
+    masks = box_masks(width, height)
+    box = bitboard.box(width, height)
+    for mask in masks:
         report.total_subsets += 1
-        lc = is_linear_convex(g)
-        tc = is_two_connected(g)
+        lc = box.is_linear_convex(mask)
+        tc = box.is_two_connected(mask)
         if lc:
             report.linear_convex += 1
-            if forced_vertex_violations(g):
+            if box.forced_vertex_violations(mask):
                 report.forced_vertex_violations.append(mask)
         if tc:
             report.two_connected += 1
         solved = False
         if lc and tc:
             report.strict_instances += 1
-            if not is_locally_connected(g):
+            if not box.is_locally_connected(mask):
                 report.local_connectivity_violations.append(mask)
-            solved, monotone, counts = solve_with_growth_check(g)
+            solved, monotone, counts = solve_with_growth_check(mask_to_graph(mask, width))
             if not solved:
                 report.solve_failures.append(mask)
             if not monotone:
                 report.growth_violations.append(mask)
             for name, count in counts.items():
                 report.rule_counts[name] += count
-        if len(g) <= oracle_limit:
+        if mask.bit_count() <= oracle_limit:
             report.oracle_checked += 1
-            oracle_cycle = brute_force_hamiltonian(g)
+            oracle_cycle = brute_force_hamiltonian_mask(box.neighbours, mask)
             if not tc and oracle_cycle is not None:
                 report.oracle_mismatches.append(mask)
             if solved and oracle_cycle is None:

@@ -24,6 +24,11 @@ def pts(*pairs: tuple[int, int]) -> list[Point]:
     return [Point(x, y) for x, y in pairs]
 
 
+def cell_point(i: int, width: int) -> Point:
+    """The point of cell i of a row-major box mask."""
+    return Point(i % width, i // width)
+
+
 def block(width: int, height: int, dx: int = 0, dy: int = 0) -> SupergridGraph:
     """Full width x height rectangle of vertices, optionally translated."""
     return from_points(

@@ -35,11 +35,12 @@ from supergrid import (
     random_graph,
     validate_cycle,
 )
+from supergrid import bitboard
 from supergrid.cli import run_cli
 from supergrid.lattice_io import parse_cycle, parse_lattice
 from supergrid.verification import forced_vertex_violations, mask_to_graph
 
-from conftest import P, oracle_adjacent
+from conftest import P, cell_point, oracle_adjacent
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -147,6 +148,32 @@ def test_criterion_2_forced_vertex_implications(box_sweep: BoxSweep):
         f"{len(box_sweep.linear_convex_masks)} graphs, {len(bad)} violations",
     )
     assert bad == []
+
+
+def test_kernel_matches_point_sweep_over_4x4(box_sweep: BoxSweep):
+    # The box-mask kernel that ``verify`` runs on must reproduce, mask for
+    # mask, the sets the fixture computed with the Point predicates.
+    box = bitboard.box(4, 4)
+    lc, tc, strict, local_bad = [], set(), [], []
+    for mask in range(1 << BOX_BITS):
+        is_lc = box.is_linear_convex(mask)
+        is_tc = box.is_two_connected(mask)
+        if is_lc:
+            lc.append(mask)
+        if is_tc:
+            tc.add(mask)
+        if is_lc and is_tc:
+            strict.append(mask)
+            if not box.is_locally_connected(mask):
+                local_bad.append(mask)
+    assert lc == box_sweep.linear_convex_masks
+    assert tc == box_sweep.two_connected_masks
+    assert strict == box_sweep.strict_masks
+    assert local_bad == box_sweep.local_connectivity_violations
+    for mask in box_sweep.linear_convex_masks:
+        got = [(cell_point(v, 4), cell_point(c, 4))
+               for v, c in box.forced_vertex_violations(mask)]
+        assert got == forced_vertex_violations(mask_to_graph(mask, 4)), mask
 
 
 def test_criterion_3_extendability_and_hamiltonicity(
@@ -367,7 +394,8 @@ def test_property_frontier_choice_independence_full(box_sweep: BoxSweep):
 def test_criterion_7_cli_end_to_end(capsys, tmp_path):
     code = run_cli(["verify", "--box", "4x4"])
     out = capsys.readouterr().out
-    verify_ok = code == 0 and "violations: 0" in out
+    with open(os.path.join(GOLDEN, "verify_4x4.txt"), encoding="utf-8") as fh:
+        verify_ok = code == 0 and "violations: 0" in out and out == fh.read()
 
     code = run_cli(["hamcycle", os.path.join(FIXTURES, "block3x3.txt")])
     captured = capsys.readouterr().out

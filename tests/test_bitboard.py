@@ -1,0 +1,112 @@
+"""The box-mask kernel against the naive oracles and the Point predicates."""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from supergrid import (
+    SizeBoundExceeded,
+    brute_force_hamiltonian,
+    is_connected,
+    is_linear_convex,
+    is_locally_connected,
+    is_two_connected,
+)
+from supergrid import bitboard
+from supergrid.bitboard import local_table, mask_to_graph
+from supergrid.grid import OFFSETS
+from supergrid.hamiltonian import brute_force_hamiltonian_mask
+from supergrid.verification import forced_vertex_violations
+
+from conftest import (
+    P,
+    cell_point,
+    oracle_connected,
+    oracle_cycle_valid,
+    oracle_linear_convex,
+    oracle_locally_connected,
+    oracle_two_connected,
+)
+
+
+def test_tables_for_3x3():
+    box = bitboard.box(3, 3)
+    assert box.neighbours[4] == 0b111_101_111
+    assert box.neighbours[0] == 0b000_011_010
+    # 3 rows, 3 columns, the main diagonal and the main antidiagonal.
+    assert len(box.lines) == 8
+    assert bitboard.box(3, 3) is box
+
+
+def test_local_table_matches_oracle():
+    for pattern in range(256):
+        points = [P(dx, dy) for d, (dx, dy) in enumerate(OFFSETS) if pattern >> d & 1]
+        assert local_table()[pattern] == oracle_connected(points), pattern
+    assert not local_table()[0b1000_0001]  # UL and DR alone
+
+
+def test_kernel_matches_oracles_on_3x3_universe():
+    box = bitboard.box(3, 3)
+    for mask in range(1 << 9):
+        points = list(mask_to_graph(mask, 3).sorted_vertices())
+        assert box.is_connected(mask) == oracle_connected(points), mask
+        assert box.is_two_connected(mask) == oracle_two_connected(points), mask
+        assert box.is_linear_convex(mask) == oracle_linear_convex(points), mask
+        assert box.is_locally_connected(mask) == oracle_locally_connected(points), mask
+
+
+@pytest.mark.parametrize("width,height", [(1, 5), (5, 1), (2, 5), (5, 2), (3, 4)])
+def test_kernel_matches_point_predicates_on_oblong_boxes(width, height):
+    box = bitboard.box(width, height)
+    for mask in range(1 << (width * height)):
+        g = mask_to_graph(mask, width)
+        assert box.is_connected(mask) == is_connected(g), mask
+        assert box.is_two_connected(mask) == is_two_connected(g), mask
+        assert box.is_linear_convex(mask) == is_linear_convex(g), mask
+        assert box.is_locally_connected(mask) == is_locally_connected(g), mask
+
+
+def test_forced_vertex_patterns_match_point_checker_on_3x3_universe():
+    box = bitboard.box(3, 3)
+    flagged = 0
+    for mask in range(1 << 9):
+        expected = forced_vertex_violations(mask_to_graph(mask, 3))
+        got = [(cell_point(v, 3), cell_point(c, 3)) for v, c in box.forced_vertex_violations(mask)]
+        assert got == expected, mask
+        flagged += bool(expected)
+    assert flagged > 0
+
+
+def _assert_same_oracle_answer(width: int, mask: int) -> None:
+    g = mask_to_graph(mask, width)
+    expected = brute_force_hamiltonian(g)
+    path = brute_force_hamiltonian_mask(bitboard.box(width, width).neighbours, mask)
+    if expected is None:
+        assert path is None, mask
+        return
+    got = [cell_point(i, width) for i in path]
+    assert tuple(got) == expected.verts, mask
+    assert len(got) == len(g) and oracle_cycle_valid(got, set(g.vertices))
+
+
+def test_mask_oracle_matches_point_oracle():
+    for mask in range(1 << 9):
+        _assert_same_oracle_answer(3, mask)
+    rng = random.Random(20261018)
+    checked = 0
+    while checked < 400:
+        mask = rng.randrange(1 << 16)
+        if mask.bit_count() > 12:
+            continue
+        checked += 1
+        _assert_same_oracle_answer(4, mask)
+
+
+def test_mask_oracle_bound_and_tiny_inputs():
+    neighbours = bitboard.box(4, 4).neighbours
+    assert brute_force_hamiltonian_mask(neighbours, 0b11) is None
+    assert brute_force_hamiltonian_mask(neighbours, 0b0011_0011) == [0, 1, 4, 5]
+    with pytest.raises(SizeBoundExceeded):
+        brute_force_hamiltonian_mask(neighbours, 0b1111, bound=3)

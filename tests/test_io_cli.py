@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -36,6 +38,17 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 def fixture(name: str) -> str:
     return os.path.join(FIXTURES, name)
+
+
+def run_cli_process(*argv: str) -> subprocess.CompletedProcess:
+    """``python -m supergrid`` in a child process, with output captured."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "supergrid", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
 
 
 # ---------------------------------------------------------------- lattice --
@@ -265,6 +278,8 @@ def test_cli_verify_small_box(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "violations: 0" in out
+    with open(os.path.join(GOLDEN, "verify_3x3.txt"), encoding="utf-8") as fh:
+        assert out == fh.read()
 
 
 def test_cli_missing_file(capsys):
@@ -285,3 +300,23 @@ def test_cli_usage_error_exit_code(capsys):
     capsys.readouterr()
     assert run_cli(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_cli_non_utf8_file_is_an_error_not_a_traceback(tmp_path):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"#\xff#\n")
+    proc = run_cli_process("classify", str(bad))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert str(bad) in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_trace_nonpositive_cell_is_an_error_not_a_traceback(tmp_path):
+    out_svg = tmp_path / "o.svg"
+    proc = run_cli_process("trace", fixture("block2x2.txt"), "--svg", str(out_svg), "--cell", "0")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert "--cell" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out_svg.exists()
