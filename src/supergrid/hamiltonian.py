@@ -33,12 +33,30 @@ within each class the compass order L, R, U, D, UL, UR, DL, DR (L before R is
 a documented tie-break).  When a wanted second pivot is adjacent to x and z
 but lies off the cycle, the step attaches that pivot instead of x through the
 same machinery (bounded diversion); the trace records what was attached.
+
+DIRECT_INSERT picks the first frontier vertex in frontier order ((y, x),
+reversed on demand) that has an insertable edge, and on it the edge whose
+tail u has the smallest position counted from ``verts[0]``; u is the step's
+``anchor_u1``.  One engine keeps its state across steps: vertex ids in
+(y, x) order with neighbour lists built once per graph, the cycle as
+successor/predecessor arrays with order-maintenance labels for positions,
+the frontier set, and a lazy min-heap of the frontier vertices that have an
+insertable edge.  Splicing x into the edge (u, v) rechecks only frontier
+vertices next to x, u and v, so a DIRECT_INSERT step costs O(log V) for the
+heap plus at worst amortised O(log² V) for relabelling, and a solve made of
+them is near-linear.  The other rules run unchanged on a materialised
+``Cycle`` and the engine is rebuilt from their result in O(V).  A
+DIRECT_INSERT step checks its splice locally (x off the cycle, u ~ x ~ v);
+the other rules' results are revalidated in full, and the final cycle is
+validated once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from heapq import heappop, heappush
+from itertools import count
 from typing import Iterator, Sequence
 
 from .classify import is_linear_convex, is_two_connected
@@ -64,6 +82,10 @@ _PIVOT_OFFSETS: tuple[tuple[int, int], ...] = (
 )
 
 _DIVERSION_DEPTH = 4
+
+# The oracle's search recurses once per cycle vertex; deeper bounds would run
+# into CPython's default limit of 1,000 frames.
+MAX_ORACLE_BOUND = 500
 
 
 class ExtensionRule(Enum):
@@ -148,18 +170,6 @@ def _seed_triangle(g: SupergridGraph) -> Cycle | None:
     return None
 
 
-def _frontier(g: SupergridGraph, on_cycle: frozenset[Point], reverse: bool) -> list[Point]:
-    """Vertices outside the cycle adjacent to it, lex-sorted (reversed on demand)."""
-    out: set[Point] = set()
-    verts = g.vertices
-    for v in on_cycle:
-        for dx, dy in OFFSETS:
-            w = Point(v.x + dx, v.y + dy)
-            if w in verts and w not in on_cycle:
-                out.add(w)
-    return sorted(out, key=Point.key, reverse=reverse)
-
-
 def _neighbor_set(g: SupergridGraph, v: Point) -> frozenset[Point]:
     verts = g.vertices
     return frozenset(
@@ -167,38 +177,6 @@ def _neighbor_set(g: SupergridGraph, v: Point) -> frozenset[Point]:
         for dx, dy in OFFSETS
         if Point(v.x + dx, v.y + dy) in verts
     )
-
-
-def _direct_insert(g: SupergridGraph, c: Cycle, frontier: list[Point]) -> tuple[Cycle, ExtensionStep] | None:
-    """First frontier vertex that neighbors both endpoints of a cycle edge."""
-    verts = c.verts
-    k = len(verts)
-    position = {v: i for i, v in enumerate(verts)}
-    for x in frontier:
-        nbrs = _neighbor_set(g, x)
-        best_slot: int | None = None
-        for u in nbrs:
-            i = position.get(u)
-            if i is None:
-                continue
-            if verts[(i + 1) % k] in nbrs:
-                slot = i
-                if best_slot is None or slot < best_slot:
-                    best_slot = slot
-            if verts[(i - 1) % k] in nbrs:
-                slot = (i - 1) % k
-                if best_slot is None or slot < best_slot:
-                    best_slot = slot
-        if best_slot is not None:
-            new = Cycle(verts[: best_slot + 1] + (x,) + verts[best_slot + 1 :])
-            step = ExtensionStep(
-                cycle_length_before=k,
-                attached_vertex=x,
-                rule=ExtensionRule.DIRECT_INSERT,
-                anchor_u1=verts[best_slot],
-            )
-            return new, step
-    return None
 
 
 def _arcs_after_cuts(verts: tuple[Point, ...], pivot_indices: list[int]) -> list[tuple[Point, ...]]:
@@ -393,6 +371,153 @@ def _fallback_search(g: SupergridGraph, c: Cycle, x: Point) -> tuple[Cycle, Exte
     return None
 
 
+class _Engine:
+    """One cycle growing inside one graph; the state persists across steps.
+
+    Vertex ids index ``g.sorted_vertices()``, so id order is (y, x) order.
+    The cycle is a ring of ``succ``/``pred`` ids from ``head`` (its
+    ``verts[0]``) whose order-maintenance ``label``s increase along it, so
+    comparing labels compares positions from ``verts[0]``.  ``ready`` flags
+    the off-cycle vertices that have an insertable edge; each of them has an
+    entry in the lazy min-heap ``heap`` (ids, negated for ``reverse``).
+    """
+
+    def __init__(self, g: SupergridGraph, verts: Sequence[Point], reverse: bool):
+        self.g, self.reverse = g, reverse
+        self.points = points = g.sorted_vertices()
+        self.ident = ident = {(p.x, p.y): i for i, p in enumerate(points)}
+        self.nbrs = [
+            [j for dx, dy in OFFSETS if (j := ident.get((p.x + dx, p.y + dy))) is not None]
+            for p in points
+        ]
+        levels = 2  # labels live in [0, top), with n + 1 <= (4/3)**levels (see _label_after)
+        while (len(points) + 1) * 3**levels > 4**levels:
+            levels += 1
+        self.top = 1 << levels
+        self.load(verts)
+
+    def load(self, verts: Sequence[Point]) -> None:
+        """Rebuild ring, labels, frontier and heap from a cycle, in O(V)."""
+        n = len(self.points)
+        ids = [self.ident[p.x, p.y] for p in verts]
+        self.head, self.k = ids[0], len(ids)
+        self.on = on = bytearray(n)
+        self.ready = bytearray(n)
+        self.succ, self.pred, self.label = succ, pred, label = [0] * n, [0] * n, [0] * n
+        gap = self.top // (len(ids) + 1)
+        prev = ids[-1]
+        for j, v in enumerate(ids):
+            on[v], label[v] = 1, j * gap
+            succ[prev], pred[v], prev = v, prev, v
+        self.frontier = {w for v in ids for w in self.nbrs[v] if not on[w]}
+        self.heap: list[int] = []
+        for w in self.frontier:
+            self._recheck(w)
+
+    def cycle(self) -> Cycle:
+        verts, v = [], self.head
+        for _ in range(self.k):
+            verts.append(self.points[v])
+            v = self.succ[v]
+        return Cycle(tuple(verts))
+
+    def _stuck(self, c: Cycle) -> ExtensionStuck:
+        first = sorted(self.frontier, reverse=self.reverse)[:1]
+        return ExtensionStuck(StuckWitness(self.g, c, self.points[first[0]] if first else None))
+
+    def _tail(self, w: int) -> int:
+        """Tail of w's insertable edge with the smallest position, or -1."""
+        on, succ, label, points = self.on, self.succ, self.label, self.points
+        best = -1
+        for a in self.nbrs[w]:
+            if on[a] and adjacent(points[succ[a]], points[w]):
+                if best < 0 or label[a] < label[best]:
+                    best = a
+        return best
+
+    def _recheck(self, w: int) -> None:
+        ready = self._tail(w) >= 0
+        if ready and not self.ready[w]:
+            heappush(self.heap, -w if self.reverse else w)
+        self.ready[w] = ready
+
+    def step(self) -> ExtensionStep:
+        """Attach one vertex: DIRECT_INSERT if the heap holds a ready vertex."""
+        heap, on, succ, pred, points = self.heap, self.on, self.succ, self.pred, self.points
+        while heap:
+            x = -heappop(heap) if self.reverse else heappop(heap)
+            if on[x] or not self.ready[x]:
+                continue
+            u = self._tail(x)
+            v = succ[u]
+            px = points[x]
+            if u < 0 or not (on[u] and adjacent(points[u], px) and adjacent(px, points[v])):
+                raise self._stuck(self.cycle())
+            before = self.k
+            self.label[x] = self._label_after(u)
+            succ[u], pred[x], succ[x], pred[v] = x, u, v, x
+            on[x] = 1
+            self.k += 1
+            self.frontier.discard(x)
+            # Only N(x) can gain an insertable edge, (u, x) or (x, v); only
+            # N(u) ∩ N(v) can lose one, (u, v).
+            for w in self.nbrs[x]:
+                if not on[w]:
+                    self.frontier.add(w)
+                    self._recheck(w)
+            for w in self.nbrs[u]:
+                if not on[w] and adjacent(points[w], points[v]):
+                    self._recheck(w)
+            return ExtensionStep(before, points[x], ExtensionRule.DIRECT_INSERT, points[u])
+        return self._rewire()
+
+    def _rewire(self) -> ExtensionStep:
+        """No direct insertion: the claim rewires, then the fallback, on a Cycle."""
+        g, c = self.g, self.cycle()
+        frontier = [self.points[w] for w in sorted(self.frontier, reverse=self.reverse)]
+        found = (r for rule in (_claim_rewire, _fallback_search) for x in frontier
+                 if (r := rule(g, c, x)) is not None)
+        new, step = next(found, (None, None))
+        if (
+            new is None
+            or not validate_cycle(g, new)
+            or len(new) != len(c) + 1
+            or new.vertex_set() != c.vertex_set() | {step.attached_vertex}
+        ):
+            raise self._stuck(c)
+        self.load(new.verts)
+        return step
+
+    def _label_after(self, u: int) -> int:
+        """A label strictly between u's and its successor's (``top`` after the last).
+
+        When the gap is used up, the smallest aligned range of 2**i labels
+        around u that holds at most (4/3)**i - 1 vertices is relabelled
+        evenly, leaving gaps of at least 2: the list-labelling scheme of
+        Bender et al., "Two simplified algorithms for maintaining order in a
+        list" (ESA 2002): O(log V) amortised relabels per insertion, and
+        rescanning the run at each level adds at most a log factor.
+        """
+        label, succ, pred, head = self.label, self.succ, self.pred, self.head
+        for level in count(1):
+            nxt = succ[u]
+            hi = self.top if nxt == head else label[nxt]
+            if hi - label[u] > 1:
+                return (label[u] + hi) // 2
+            lo = label[u] >> level << level
+            hi = lo + (1 << level)
+            first = u
+            while first != head and label[pred[first]] >= lo:
+                first = pred[first]
+            run = [first]
+            while succ[run[-1]] != head and label[succ[run[-1]]] < hi:
+                run.append(succ[run[-1]])
+            if (len(run) + 1) * 3**level <= 4**level:
+                gap = (1 << level) // (len(run) + 1)
+                for j, w in enumerate(run):
+                    label[w] = lo + j * gap
+
+
 def extend_cycle(
     g: SupergridGraph,
     c: Cycle,
@@ -411,30 +536,9 @@ def extend_cycle(
         raise ValueError("c is not a valid cycle of the host graph")
     if len(c) == len(g):
         raise AlreadyHamiltonian(f"cycle already covers all {len(g)} vertices")
-    frontier = _frontier(g, c.vertex_set(), reverse=reverse_frontier)
-    if not frontier:
-        raise ExtensionStuck(StuckWitness(g, c, None))
-
-    result = _direct_insert(g, c, frontier)
-    if result is None:
-        for x in frontier:
-            result = _claim_rewire(g, c, x)
-            if result is not None:
-                break
-    if result is None:
-        for x in frontier:
-            result = _fallback_search(g, c, x)
-            if result is not None:
-                break
-    if result is None:
-        raise ExtensionStuck(StuckWitness(g, c, frontier[0]))
-
-    new, step = result
-    if not validate_cycle(g, new) or len(new) != len(c) + 1:
-        raise ExtensionStuck(StuckWitness(g, c, frontier[0]))
-    if new.vertex_set() != c.vertex_set() | {step.attached_vertex}:
-        raise ExtensionStuck(StuckWitness(g, c, frontier[0]))
-    return new, step
+    engine = _Engine(g, c.verts, reverse_frontier)
+    step = engine.step()
+    return engine.cycle(), step
 
 
 def extension_steps(
@@ -443,10 +547,15 @@ def extension_steps(
     *,
     reverse_frontier: bool = False,
 ) -> Iterator[tuple[Cycle, ExtensionStep]]:
-    """Iterate extend_cycle to full coverage, yielding after every step."""
-    while len(c) < len(g):
-        c, step = extend_cycle(g, c, reverse_frontier=reverse_frontier)
-        yield c, step
+    """Extend to full coverage on one engine, yielding after every step."""
+    if len(c) >= len(g):
+        return
+    if not validate_cycle(g, c):
+        raise ValueError("c is not a valid cycle of the host graph")
+    engine = _Engine(g, c.verts, reverse_frontier)
+    while engine.k < len(g):
+        step = engine.step()
+        yield engine.cycle(), step
 
 
 def find_hamiltonian_cycle(
@@ -468,16 +577,25 @@ def find_hamiltonian_cycle(
         return HamiltonianResult(status="no_cycle", failed_predicate="two_connected")
     if strict and not is_linear_convex(g):
         return HamiltonianResult(status="no_cycle", failed_predicate="linear_convex")
-    cycle = _seed_triangle(g)
-    if cycle is None:
+    return _seed_and_extend(g, reverse_frontier)
+
+
+def _seed_and_extend(g: SupergridGraph, reverse_frontier: bool = False) -> HamiltonianResult:
+    """find_hamiltonian_cycle after its precheck, for callers that did their own."""
+    seed = _seed_triangle(g)
+    if seed is None:
         return HamiltonianResult(
             status="extension_failed",
             witness=StuckWitness(g, None, None),
         )
+    engine = _Engine(g, seed.verts, reverse_frontier)
     steps: list[ExtensionStep] = []
     try:
-        for cycle, step in extension_steps(g, cycle, reverse_frontier=reverse_frontier):
-            steps.append(step)
+        while engine.k < len(g):
+            steps.append(engine.step())
+        cycle = engine.cycle()
+        if not validate_cycle(g, cycle) or cycle.vertex_set() != g.vertices:
+            raise ExtensionStuck(StuckWitness(g, cycle, None))
     except ExtensionStuck as stuck:
         return HamiltonianResult(
             status="extension_failed",
@@ -519,8 +637,14 @@ def brute_force_hamiltonian_mask(
     ascending order; prunes branches where some unvisited vertex has fewer
     than two usable neighbours or where the unvisited set is no longer
     reachable from the current endpoint.  Returns the cycle as vertex numbers
-    from the anchor, or None.
+    from the anchor, or None.  The search recurses once per cycle vertex, so
+    a ``bound`` above :data:`MAX_ORACLE_BOUND` raises SizeBoundExceeded
+    before it starts.
     """
+    if bound > MAX_ORACLE_BOUND:
+        raise SizeBoundExceeded(
+            f"bound {bound} exceeds the oracle's supported depth of {MAX_ORACLE_BOUND}"
+        )
     n = vertices.bit_count()
     if n > bound:
         raise SizeBoundExceeded(f"{n} vertices exceeds the bound of {bound}")

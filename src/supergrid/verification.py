@@ -13,7 +13,8 @@ One streaming pass over the subset bitmasks drives four checks at once:
 
 The pass runs on masks: every predicate comes from the
 :mod:`supergrid.bitboard` kernel, and only the strict instances become
-``SupergridGraph`` objects for the unchanged solver.  The ``Point``
+``SupergridGraph`` objects, handed to the solver's seed-and-extend core
+without re-running its ``Point`` precheck.  The ``Point``
 predicates of :mod:`supergrid.classify` stay the general-input API and the
 reference the kernel is tested against.  The oracle searches the same masks
 with adjacency from the kernel's neighbour table; it shares no code with the
@@ -31,13 +32,15 @@ from dataclasses import dataclass, field
 from . import bitboard
 from .bitboard import mask_to_graph
 
-# The sweep itself uses none of the Point predicates, the enumerator or the
-# Point oracle; they stay importable from this module as the general API.
+# The sweep itself uses none of the Point predicates, the enumerator, the
+# Point oracle or the solver's precheck (it calls the seed-and-extend core);
+# they stay importable from this module as the general API.
 from .classify import is_linear_convex, is_locally_connected, is_two_connected  # noqa: F401
 from .enumeration import box_masks, enumerate_graphs  # noqa: F401
 from .grid import Point, SupergridGraph
 from .hamiltonian import (  # noqa: F401
     ExtensionRule,
+    _seed_and_extend,
     brute_force_hamiltonian,
     brute_force_hamiltonian_mask,
     find_hamiltonian_cycle,
@@ -120,11 +123,13 @@ class SuiteReport:
 
 
 def solve_with_growth_check(g: SupergridGraph) -> tuple[bool, bool, dict[str, int]]:
-    """Run the strict solver step by step.
+    """Run the strict solver on a graph known to be 2-connected and linearly convex.
 
-    Returns (found full cycle, every step grew by exactly one, rule counts).
+    The caller has checked both predicates, so the solver's own precheck is
+    skipped.  Returns (found full cycle, every step grew by exactly one, rule
+    counts).
     """
-    result = find_hamiltonian_cycle(g, strict=True)
+    result = _seed_and_extend(g)
     if result.status != "cycle":
         return False, True, {rule.value: 0 for rule in ExtensionRule}
     counts = result.trace.rule_counts()

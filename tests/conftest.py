@@ -10,10 +10,21 @@ Library results are checked against these, never against themselves.
 from __future__ import annotations
 
 import itertools
+import random
+from dataclasses import dataclass, field
+from time import perf_counter
 
 import pytest
 
-from supergrid import Point, SupergridGraph, from_points
+from supergrid import (
+    Point,
+    SupergridGraph,
+    from_points,
+    is_linear_convex,
+    is_locally_connected,
+    is_two_connected,
+)
+from supergrid.bitboard import mask_to_graph
 
 
 def P(x: int, y: int) -> Point:
@@ -33,6 +44,20 @@ def block(width: int, height: int, dx: int = 0, dy: int = 0) -> SupergridGraph:
     """Full width x height rectangle of vertices, optionally translated."""
     return from_points(
         Point(x + dx, y + dy) for y in range(height) for x in range(width)
+    )
+
+
+def disc(radius: float, seed: int) -> SupergridGraph:
+    """Lattice points within ``radius`` of a seeded centre in the unit cell at the origin.
+
+    A digitised convex set meets every line in a run, so discs are linearly
+    convex; from a radius of about 2 on they are also 2-connected.
+    """
+    rng = random.Random(seed)
+    cx, cy = rng.random(), rng.random()
+    span = range(-int(radius) - 1, int(radius) + 2)
+    return from_points(
+        Point(x, y) for y in span for x in span if (x - cx) ** 2 + (y - cy) ** 2 <= radius**2
     )
 
 
@@ -160,3 +185,33 @@ def block2() -> SupergridGraph:
 @pytest.fixture(scope="session")
 def block3() -> SupergridGraph:
     return block(3, 3)
+
+
+@dataclass
+class BoxSweep:
+    elapsed: float
+    linear_convex_masks: list[int] = field(default_factory=list)
+    two_connected_masks: set[int] = field(default_factory=set)
+    strict_masks: list[int] = field(default_factory=list)
+    local_connectivity_violations: list[int] = field(default_factory=list)
+
+
+@pytest.fixture(scope="session")
+def box_sweep() -> BoxSweep:
+    """The Point predicates over every 4x4 mask, shared by the acceptance and engine tests."""
+    start = perf_counter()
+    sweep = BoxSweep(elapsed=0.0)
+    for mask in range(1 << 16):
+        g = mask_to_graph(mask, 4)
+        lc = is_linear_convex(g)
+        tc = is_two_connected(g)
+        if lc:
+            sweep.linear_convex_masks.append(mask)
+        if tc:
+            sweep.two_connected_masks.add(mask)
+        if lc and tc:
+            sweep.strict_masks.append(mask)
+            if not is_locally_connected(g):
+                sweep.local_connectivity_violations.append(mask)
+    sweep.elapsed = perf_counter() - start
+    return sweep

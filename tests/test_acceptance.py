@@ -29,9 +29,6 @@ from supergrid import (
     find_hamiltonian_cycle,
     from_points,
     insert_vertex,
-    is_linear_convex,
-    is_locally_connected,
-    is_two_connected,
     random_graph,
     validate_cycle,
 )
@@ -40,7 +37,7 @@ from supergrid.cli import run_cli
 from supergrid.lattice_io import parse_cycle, parse_lattice
 from supergrid.verification import forced_vertex_violations, mask_to_graph
 
-from conftest import P, cell_point, oracle_adjacent
+from conftest import BoxSweep, P, cell_point, oracle_adjacent
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -51,35 +48,6 @@ def _report(criterion: str, ok: bool, detail: str = "") -> None:
     status = "PASS" if ok else "FAIL"
     suffix = f" ({detail})" if detail else ""
     print(f"ACCEPTANCE {criterion}: {status}{suffix}")
-
-
-@dataclass
-class BoxSweep:
-    elapsed: float
-    linear_convex_masks: list[int] = field(default_factory=list)
-    two_connected_masks: set[int] = field(default_factory=set)
-    strict_masks: list[int] = field(default_factory=list)
-    local_connectivity_violations: list[int] = field(default_factory=list)
-
-
-@pytest.fixture(scope="session")
-def box_sweep() -> BoxSweep:
-    start = perf_counter()
-    sweep = BoxSweep(elapsed=0.0)
-    for mask in range(1 << BOX_BITS):
-        g = mask_to_graph(mask, 4)
-        lc = is_linear_convex(g)
-        tc = is_two_connected(g)
-        if lc:
-            sweep.linear_convex_masks.append(mask)
-        if tc:
-            sweep.two_connected_masks.add(mask)
-        if lc and tc:
-            sweep.strict_masks.append(mask)
-            if not is_locally_connected(g):
-                sweep.local_connectivity_violations.append(mask)
-    sweep.elapsed = perf_counter() - start
-    return sweep
 
 
 @dataclass

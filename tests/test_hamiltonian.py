@@ -20,9 +20,10 @@ from supergrid import (
     seed_cycle,
     validate_cycle,
 )
+from supergrid.hamiltonian import MAX_ORACLE_BOUND
 from supergrid.verification import mask_to_graph
 
-from conftest import P, block, oracle_adjacent, oracle_cycle_valid, pts
+from conftest import P, block, disc, oracle_adjacent, oracle_cycle_valid, pts
 
 
 # ---------------------------------------------------------------- seeding --
@@ -190,6 +191,16 @@ def test_monotone_growth_checked_after_every_step():
     assert length == len(g)
 
 
+@pytest.mark.parametrize("g", [block(64, 64), disc(25.2, 1)], ids=["block4096", "disc1997"])
+def test_strict_solve_large_regions(g):
+    r = find_hamiltonian_cycle(g, strict=True)
+    assert r.found
+    assert validate_cycle(g, r.cycle)
+    assert r.cycle.vertex_set() == g.vertices
+    lengths = [step.cycle_length_before for step in r.trace.steps]
+    assert lengths == list(range(3, len(g)))
+
+
 def test_trace_soundness_of_claim_steps():
     # Replay solves over a slab of the 4x4 universe and check the recorded
     # pivots against the side conditions each rule family requires.
@@ -319,6 +330,16 @@ def test_brute_force_bound():
     with pytest.raises(SizeBoundExceeded):
         brute_force_hamiltonian(g)
     assert brute_force_hamiltonian(g, bound=25) is not None
+
+
+def test_brute_force_bound_capped_at_supported_depth(block2):
+    with pytest.raises(SizeBoundExceeded, match="supported depth"):
+        brute_force_hamiltonian(block2, bound=MAX_ORACLE_BOUND + 1)
+    # The cap itself is reachable: a 2 x 250 ladder searches 500 levels deep.
+    ladder = block(250, 2)
+    c = brute_force_hamiltonian(ladder, bound=MAX_ORACLE_BOUND)
+    assert c is not None and c.vertex_set() == ladder.vertices
+    assert validate_cycle(ladder, c)
 
 
 def test_brute_force_anchored_at_smallest_vertex(block2):

@@ -320,3 +320,12 @@ def test_cli_trace_nonpositive_cell_is_an_error_not_a_traceback(tmp_path):
     assert "--cell" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not out_svg.exists()
+
+
+def test_cli_oracle_bound_above_supported_depth_is_an_error_not_a_traceback():
+    # The graph is tiny: the bound is rejected before any search starts.
+    proc = run_cli_process("oracle", fixture("block3x3.txt"), "--bound", "2000")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert "2000" in proc.stderr
+    assert "Traceback" not in proc.stderr
