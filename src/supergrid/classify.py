@@ -6,7 +6,9 @@ these, so they are library choices, stated here and tested):
 
 * the empty graph is connected (vacuously) but not 2-connected;
 * 2-connectivity additionally requires at least 3 vertices (the smallest
-  cycle has 3), and is decided via the articulation-vertex characterization;
+  cycle has 3), and is decided via the articulation-vertex characterization:
+  one iterative lowpoint DFS reports both whether it reached every vertex
+  and whether it met a cut vertex;
 * empty and singleton induced neighborhoods count as connected, so vertices
   of degree 0 or 1 do not by themselves fail local connectivity.
 """
@@ -16,8 +18,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable, Iterator
 
-from .grid import OFFSETS, Point, SupergridGraph, induced_neighborhood
+from .grid import Point, SupergridGraph, induced_neighborhood, neighbors
 
 
 class LineDirection(Enum):
@@ -98,27 +101,33 @@ class ClassificationReport:
     violation_witness: ViolationWitness | None = None
 
 
-def linear_convexity_violation(g: SupergridGraph) -> ViolationWitness | None:
-    """First gap on any lattice line, or None if g is linearly convex.
+def line_gaps(points: Iterable[Point]) -> Iterator[tuple[LineKey, int, int]]:
+    """Every line gap (line, a, b): points at parameters a and b, none between, b > a + 1.
 
-    Vertices are bucketed by each of the four LineKeys; each bucket, sorted by
-    its run parameter, must be a contiguous range.  Buckets are scanned in a
-    fixed order (direction, then line index) so the witness is deterministic.
+    Points are bucketed by each of their four LineKeys; a sorted bucket that
+    skips a parameter has a gap.  Gaps come in a fixed order (direction, line
+    index, then parameter), so the first one is deterministic.
     """
     buckets: dict[LineKey, list[int]] = {}
-    for p in g.sorted_vertices():
+    for p in points:
         for key in line_keys(p):
             buckets.setdefault(key, []).append(line_parameter(key.direction, p))
     for key in sorted(buckets, key=lambda k: (_DIRECTION_RANK[k.direction], k.index)):
         params = sorted(buckets[key])
         for a, b in zip(params, params[1:]):
             if b - a > 1:
-                return ViolationWitness(
-                    predicate="linear_convex",
-                    points=(point_on_line(key, a), point_on_line(key, b)),
-                    missing=point_on_line(key, a + 1),
-                    line=key,
-                )
+                yield key, a, b
+
+
+def linear_convexity_violation(g: SupergridGraph) -> ViolationWitness | None:
+    """First line gap (see :func:`line_gaps`), or None if g is linearly convex."""
+    for key, a, b in line_gaps(g.vertices):
+        return ViolationWitness(
+            predicate="linear_convex",
+            points=(point_on_line(key, a), point_on_line(key, b)),
+            missing=point_on_line(key, a + 1),
+            line=key,
+        )
     return None
 
 
@@ -135,72 +144,56 @@ def is_connected(g: SupergridGraph) -> bool:
     start = g.sorted_vertices()[0]
     seen = {start}
     queue = deque([start])
-    verts = g.vertices
     while queue:
-        v = queue.popleft()
-        for dx, dy in OFFSETS:
-            w = Point(v.x + dx, v.y + dy)
-            if w in verts and w not in seen:
+        for w in neighbors(g, queue.popleft()):
+            if w not in seen:
                 seen.add(w)
                 queue.append(w)
     return len(seen) == n
 
 
-def _has_articulation_vertex(g: SupergridGraph) -> bool:
-    """Iterative lowpoint DFS over a connected graph with >= 3 vertices."""
-    verts = g.vertices
-    order = g.sorted_vertices()
-    index: dict[Point, int] = {}
-    low: dict[Point, int] = {}
-    parent: dict[Point, Point | None] = {}
-    root = order[0]
+def _lowpoint_dfs(g: SupergridGraph) -> tuple[bool, bool]:
+    """(reaches every vertex, meets a cut vertex) for one DFS from the smallest vertex.
+
+    Iterative lowpoint DFS (Hopcroft and Tarjan, "Algorithm 447: efficient
+    algorithms for graph manipulation", CACM 1973): a non-root vertex p is a
+    cut vertex iff some DFS child v has low[v] >= index[p], and the root is
+    one iff it has more than one DFS child.
+    """
+    if not len(g):
+        return True, False
+    root = g.sorted_vertices()[0]
+    index = {root: 0}
+    low = {root: 0}
+    parent: dict[Point, Point | None] = {root: None}
     root_children = 0
-    counter = 0
-
+    cut = False
     # Explicit stack of (vertex, neighbor iterator) frames.
-    def nbrs(v: Point) -> list[Point]:
-        return [
-            Point(v.x + dx, v.y + dy)
-            for dx, dy in OFFSETS
-            if Point(v.x + dx, v.y + dy) in verts
-        ]
-
-    index[root] = low[root] = counter
-    counter += 1
-    parent[root] = None
-    stack = [(root, iter(nbrs(root)))]
+    stack = [(root, iter(neighbors(g, root)))]
     while stack:
         v, it = stack[-1]
-        advanced = False
         for w in it:
             if w not in index:
                 parent[w] = v
-                index[w] = low[w] = counter
-                counter += 1
-                if v == root:
-                    root_children += 1
-                stack.append((w, iter(nbrs(w))))
-                advanced = True
+                index[w] = low[w] = len(index)
+                root_children += v == root
+                stack.append((w, iter(neighbors(g, w))))
                 break
             if w != parent[v]:
                 low[v] = min(low[v], index[w])
-        if not advanced:
+        else:
             stack.pop()
             p = parent[v]
             if p is not None:
                 low[p] = min(low[p], low[v])
-                if p != root and low[v] >= index[p]:
-                    return True
-    return root_children > 1
+                cut = cut or (p != root and low[v] >= index[p])
+    return len(index) == len(g), cut or root_children > 1
 
 
 def is_two_connected(g: SupergridGraph) -> bool:
     """True iff |V| >= 3, g is connected, and g has no articulation vertex."""
-    if len(g) < 3:
-        return False
-    if not is_connected(g):
-        return False
-    return not _has_articulation_vertex(g)
+    connected, cut = _lowpoint_dfs(g)
+    return len(g) >= 3 and connected and not cut
 
 
 def local_connectivity_violation(g: SupergridGraph) -> ViolationWitness | None:
@@ -224,10 +217,11 @@ def classify(g: SupergridGraph) -> ClassificationReport:
     """
     convexity = linear_convexity_violation(g)
     locality = local_connectivity_violation(g)
+    connected, cut = _lowpoint_dfs(g)
     return ClassificationReport(
         vertex_count=len(g),
-        connected=is_connected(g),
-        two_connected=is_two_connected(g),
+        connected=connected,
+        two_connected=len(g) >= 3 and connected and not cut,
         linear_convex=convexity is None,
         locally_connected=locality is None,
         violation_witness=convexity if convexity is not None else locality,

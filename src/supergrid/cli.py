@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import sys
 
 from .classify import classify
 from .enumeration import PREDICATES, EnumSpec, enumerate_graphs
 from .errors import SizeBoundExceeded, SupergridError
-from .hamiltonian import brute_force_hamiltonian, find_hamiltonian_cycle
+from .hamiltonian import ExtensionRule, brute_force_hamiltonian, find_hamiltonian_cycle
 from .lattice_io import (
     export_svg,
     parse_lattice,
@@ -122,45 +121,30 @@ def _cmd_enumerate(args) -> int:
         require=require,
         dedup_symmetry=args.dedup,
     )
-    totals = {name: 0 for name in ("connected", "two_connected", "linear_convex", "locally_connected")}
-    count = 0
-    hamiltonian_found = 0
-    rule_counts = {
-        "DIRECT_INSERT": 0,
-        "CLAIM1_REWIRE": 0,
-        "CLAIM2_REWIRE": 0,
-        "FALLBACK_SEARCH": 0,
-    }
+    totals = dict.fromkeys(PREDICATES, 0)
+    rules = dict.fromkeys((rule.value for rule in ExtensionRule), 0)
+    count = hamiltonian_found = 0
     for g in enumerate_graphs(spec):
         count += 1
-        for name in totals:
-            if PREDICATES[name](g):
-                totals[name] += 1
+        for name, predicate in PREDICATES.items():
+            totals[name] += predicate(g)
         result = find_hamiltonian_cycle(g, strict=True)
         if result.found:
             hamiltonian_found += 1
             for name, n in result.trace.rule_counts().items():
-                rule_counts[name] += n
+                rules[name] += n
     row = {
         "box": f"{width}x{height}",
         "total": count,
-        "connected": totals["connected"],
-        "two_connected": totals["two_connected"],
-        "linear_convex": totals["linear_convex"],
-        "locally_connected": totals["locally_connected"],
+        **totals,
         "hamiltonian_found": hamiltonian_found,
-        "rule_direct_insert": rule_counts["DIRECT_INSERT"],
-        "rule_claim1_rewire": rule_counts["CLAIM1_REWIRE"],
-        "rule_claim2_rewire": rule_counts["CLAIM2_REWIRE"],
-        "rule_fallback_search": rule_counts["FALLBACK_SEARCH"],
+        **{"rule_" + name.lower(): n for name, n in rules.items()},
     }
-    buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=list(row))
-    writer.writeheader()
-    writer.writerow(row)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="") as handle:
-            handle.write(buffer.getvalue())
+            writer = csv.DictWriter(handle, fieldnames=list(row))
+            writer.writeheader()
+            writer.writerow(row)
     for key, value in row.items():
         print(f"{key}: {value}")
     return EXIT_OK

@@ -26,12 +26,11 @@ from .classify import (
     is_linear_convex,
     is_locally_connected,
     is_two_connected,
-    line_keys,
-    line_parameter,
+    line_gaps,
     point_on_line,
 )
 from .errors import BoxTooLarge, GenerationBudgetExhausted
-from .grid import OFFSETS, Point, SupergridGraph, from_points
+from .grid import Point, SupergridGraph, from_points, neighbors
 
 EXHAUSTIVE_CELL_CAP = 25
 GROWTH_BUDGET = 1000
@@ -153,20 +152,9 @@ def linear_convex_closure(
     """
     current: set[Point] = set(points.vertices if isinstance(points, SupergridGraph) else points)
     added: set[Point] = set()
-    while True:
-        fresh: set[Point] = set()
-        buckets: dict = {}
-        for p in current:
-            for key in line_keys(p):
-                buckets.setdefault(key, []).append(line_parameter(key.direction, p))
-        for key, params in buckets.items():
-            params.sort()
-            for a, b in zip(params, params[1:]):
-                for t in range(a + 1, b):
-                    fresh.add(point_on_line(key, t))
-        fresh -= current
-        if not fresh:
-            break
+    while fresh := {
+        point_on_line(key, t) for key, a, b in line_gaps(current) for t in range(a + 1, b)
+    }:
         current |= fresh
         added |= fresh
     return SupergridGraph(current), frozenset(added)
@@ -182,19 +170,14 @@ def random_graph(spec: EnumSpec) -> SupergridGraph:
     or when the blob cannot grow further.
     """
     rng = random.Random(spec.seed)
-    box = [Point(x, y) for y in range(spec.height) for x in range(spec.width)]
-    box_set = set(box)
-    current: set[Point] = {box[rng.randrange(len(box))]}
+    box = SupergridGraph(Point(x, y) for y in range(spec.height) for x in range(spec.width))
+    cells = box.sorted_vertices()
+    current: set[Point] = {cells[rng.randrange(len(cells))]}
     for _ in range(GROWTH_BUDGET):
         g = SupergridGraph(current)
         if len(g) >= spec.min_vertices and _satisfies(g, spec.require):
             return g
-        fringe: set[Point] = set()
-        for p in current:
-            for dx, dy in OFFSETS:
-                w = Point(p.x + dx, p.y + dy)
-                if w in box_set and w not in current:
-                    fringe.add(w)
+        fringe = {w for p in current for w in neighbors(box, p)} - current
         candidates = sorted(fringe, key=Point.key)
         if not candidates:
             break

@@ -158,14 +158,10 @@ def from_points(points: Iterable[Point]) -> SupergridGraph:
 
 def neighbors(g: SupergridGraph, v: Point) -> list[Point]:
     """Neighbors of v present in g, in Direction scan order UL..DR."""
-    if v not in g:
+    verts = g.vertices
+    if v not in verts:
         raise VertexNotInGraph(f"{v} is not a vertex of the graph")
-    out = []
-    for dx, dy in OFFSETS:
-        w = Point(v.x + dx, v.y + dy)
-        if w in g:
-            out.append(w)
-    return out
+    return [w for dx, dy in OFFSETS if (w := Point(v.x + dx, v.y + dy)) in verts]
 
 
 def induced_neighborhood(g: SupergridGraph, v: Point) -> SupergridGraph:

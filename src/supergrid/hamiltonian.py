@@ -149,14 +149,22 @@ def seed_cycle(g: SupergridGraph) -> Cycle:
     adjacent pair of its neighbor list in scan order.  Local connectivity
     (guaranteed by the preconditions) makes that pair exist.
     """
-    if not is_two_connected(g):
-        raise PreconditionViolated("two_connected")
-    if not is_linear_convex(g):
-        raise PreconditionViolated("linear_convex")
+    failed = _failed_precondition(g, strict=True)
+    if failed is not None:
+        raise PreconditionViolated(failed)
     seed = _seed_triangle(g)
     if seed is None:  # unreachable on inputs meeting the preconditions
         raise PreconditionViolated("locally_connected", "no adjacent neighbor pair")
     return seed
+
+
+def _failed_precondition(g: SupergridGraph, strict: bool) -> str | None:
+    """The first failed solver precondition: 2-connectivity, then (strict) linear convexity."""
+    if not is_two_connected(g):
+        return "two_connected"
+    if strict and not is_linear_convex(g):
+        return "linear_convex"
+    return None
 
 
 def _seed_triangle(g: SupergridGraph) -> Cycle | None:
@@ -170,13 +178,21 @@ def _seed_triangle(g: SupergridGraph) -> Cycle | None:
     return None
 
 
-def _neighbor_set(g: SupergridGraph, v: Point) -> frozenset[Point]:
-    verts = g.vertices
-    return frozenset(
-        Point(v.x + dx, v.y + dy)
-        for dx, dy in OFFSETS
-        if Point(v.x + dx, v.y + dy) in verts
-    )
+def _vertex_ids(
+    g: SupergridGraph,
+) -> tuple[tuple[Point, ...], dict[tuple[int, int], int], list[list[int]]]:
+    """Vertex ids in (y, x) order: the points, an (x, y) -> id map, neighbour ids.
+
+    Neighbour ids follow Direction order.  Built per call, not cached on the
+    graph, so callers that hold many graphs do not hold their tables.
+    """
+    points = g.sorted_vertices()
+    ident = {(p.x, p.y): i for i, p in enumerate(points)}
+    nbrs = [
+        [j for dx, dy in OFFSETS if (j := ident.get((p.x + dx, p.y + dy))) is not None]
+        for p in points
+    ]
+    return points, ident, nbrs
 
 
 def _arcs_after_cuts(verts: tuple[Point, ...], pivot_indices: list[int]) -> list[tuple[Point, ...]]:
@@ -264,7 +280,7 @@ def _claim_rewire(
     k = len(verts)
     on_cycle = c.vertex_set()
     position = {v: i for i, v in enumerate(verts)}
-    x_nbrs = _neighbor_set(g, x)
+    x_nbrs = frozenset(neighbors(g, x))
     anchors = [v for v in verts if v in x_nbrs]
 
     def pivot_candidates(u1: Point, u2: Point, uk: Point) -> list[Point]:
@@ -298,7 +314,7 @@ def _claim_rewire(
                 found = _pivot_reassemble(g, oriented, x, [0, j])
                 if found is not None:
                     return found, ExtensionStep(k, x, rule, u1, pivot_z=z)
-                z_nbrs = _neighbor_set(g, z)
+                z_nbrs = frozenset(neighbors(g, z))
                 for y in sorted((x_nbrs & z_nbrs & on_cycle) - {u1}, key=Point.key):
                     t = oriented.index(y)
                     found = _pivot_reassemble(g, oriented, x, [0, j, t])
@@ -315,7 +331,7 @@ def _claim_rewire(
             for z in pivot_candidates(u1, u2, uk):
                 if z not in on_cycle:
                     continue
-                z_nbrs = _neighbor_set(g, z)
+                z_nbrs = frozenset(neighbors(g, z))
                 for y in sorted((x_nbrs & z_nbrs) - on_cycle, key=Point.key):
                     result = _claim_rewire(g, c, y, depth + 1)
                     if result is not None:
@@ -327,7 +343,7 @@ def _fallback_search(g: SupergridGraph, c: Cycle, x: Point) -> tuple[Cycle, Exte
     """Bounded 3-opt-style net: insert x after up to two segment reversals."""
     verts = c.verts
     k = len(verts)
-    x_nbrs = _neighbor_set(g, x)
+    x_nbrs = frozenset(neighbors(g, x))
     anchor = next((v for v in verts if v in x_nbrs), verts[0])
 
     def try_insert(seq: tuple[Point, ...]) -> Cycle | None:
@@ -384,14 +400,9 @@ class _Engine:
 
     def __init__(self, g: SupergridGraph, verts: Sequence[Point], reverse: bool):
         self.g, self.reverse = g, reverse
-        self.points = points = g.sorted_vertices()
-        self.ident = ident = {(p.x, p.y): i for i, p in enumerate(points)}
-        self.nbrs = [
-            [j for dx, dy in OFFSETS if (j := ident.get((p.x + dx, p.y + dy))) is not None]
-            for p in points
-        ]
+        self.points, self.ident, self.nbrs = _vertex_ids(g)
         levels = 2  # labels live in [0, top), with n + 1 <= (4/3)**levels (see _label_after)
-        while (len(points) + 1) * 3**levels > 4**levels:
+        while (len(self.points) + 1) * 3**levels > 4**levels:
             levels += 1
         self.top = 1 << levels
         self.load(verts)
@@ -573,10 +584,9 @@ def find_hamiltonian_cycle(
     runs the same pipeline on any 2-connected graph as a conjecture probe,
     where ExtensionFailed is a legitimate answer.
     """
-    if not is_two_connected(g):
-        return HamiltonianResult(status="no_cycle", failed_predicate="two_connected")
-    if strict and not is_linear_convex(g):
-        return HamiltonianResult(status="no_cycle", failed_predicate="linear_convex")
+    failed = _failed_precondition(g, strict)
+    if failed is not None:
+        return HamiltonianResult(status="no_cycle", failed_predicate=failed)
     return _seed_and_extend(g, reverse_frontier)
 
 
@@ -612,16 +622,8 @@ def brute_force_hamiltonian(g: SupergridGraph, bound: int = 24) -> Cycle | None:
     :func:`brute_force_hamiltonian_mask`; the result (some Hamiltonian cycle
     from the smallest vertex, or None) is deterministic.
     """
-    verts = g.sorted_vertices()
-    index = {v: i for i, v in enumerate(verts)}
-    adjacency = []
-    for v in verts:
-        mask = 0
-        for dx, dy in OFFSETS:
-            j = index.get(Point(v.x + dx, v.y + dy))
-            if j is not None:
-                mask |= 1 << j
-        adjacency.append(mask)
+    verts, _, nbrs = _vertex_ids(g)
+    adjacency = [sum(1 << j for j in row) for row in nbrs]
     path = brute_force_hamiltonian_mask(adjacency, (1 << len(verts)) - 1, bound)
     return None if path is None else Cycle(tuple(verts[i] for i in path))
 

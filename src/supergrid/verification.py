@@ -36,7 +36,7 @@ from .bitboard import mask_to_graph
 # Point oracle or the solver's precheck (it calls the seed-and-extend core);
 # they stay importable from this module as the general API.
 from .classify import is_linear_convex, is_locally_connected, is_two_connected  # noqa: F401
-from .enumeration import box_masks, enumerate_graphs  # noqa: F401
+from .enumeration import EXHAUSTIVE_CELL_CAP, box_masks, enumerate_graphs  # noqa: F401
 from .grid import Point, SupergridGraph
 from .hamiltonian import (  # noqa: F401
     ExtensionRule,
@@ -176,7 +176,8 @@ def run_box_suite(width: int, height: int, oracle_limit: int = 12) -> SuiteRepor
                 report.rule_counts[name] += count
         if mask.bit_count() <= oracle_limit:
             report.oracle_checked += 1
-            oracle_cycle = brute_force_hamiltonian_mask(box.neighbours, mask)
+            # box_masks caps a box at EXHAUSTIVE_CELL_CAP cells, past the oracle's default bound.
+            oracle_cycle = brute_force_hamiltonian_mask(box.neighbours, mask, EXHAUSTIVE_CELL_CAP)
             if not tc and oracle_cycle is not None:
                 report.oracle_mismatches.append(mask)
             if solved and oracle_cycle is None:

@@ -14,7 +14,7 @@ from typing import Iterator
 from supergrid.classify import is_linear_convex, is_two_connected
 from supergrid.cycles import Cycle, validate_cycle
 from supergrid.errors import AlreadyHamiltonian, ExtensionStuck
-from supergrid.grid import OFFSETS, Point, SupergridGraph
+from supergrid.grid import OFFSETS, Point, SupergridGraph, neighbors
 from supergrid.hamiltonian import (
     ExtensionRule,
     ExtensionStep,
@@ -23,7 +23,6 @@ from supergrid.hamiltonian import (
     StuckWitness,
     _claim_rewire,
     _fallback_search,
-    _neighbor_set,
     _seed_triangle,
 )
 
@@ -46,7 +45,7 @@ def _direct_insert(g: SupergridGraph, c: Cycle, frontier: list[Point]) -> tuple[
     k = len(verts)
     position = {v: i for i, v in enumerate(verts)}
     for x in frontier:
-        nbrs = _neighbor_set(g, x)
+        nbrs = frozenset(neighbors(g, x))
         best_slot: int | None = None
         for u in nbrs:
             i = position.get(u)

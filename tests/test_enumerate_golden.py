@@ -1,0 +1,31 @@
+"""``supergrid enumerate`` pinned byte for byte: stdout and the CSV row.
+
+The goldens cover every predicate tally and every rule column, once over
+the whole 3x3 box (where most subsets fail some predicate) and once over the
+strict 4x4 instances (whose rule columns are the 4x4 rule table).
+"""
+
+from __future__ import annotations
+
+import os
+
+import pytest
+
+from supergrid.cli import run_cli
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("enumerate_3x3", ["--box", "3x3"]),
+    ("enumerate_4x4_strict", ["--box", "4x4", "--require", "two_connected,linear_convex"]),
+])
+def test_cli_enumerate_matches_golden(tmp_path, capsys, name, argv):
+    out_csv = tmp_path / "summary.csv"
+    code = run_cli(["enumerate", *argv, "--csv", str(out_csv)])
+    out = capsys.readouterr().out
+    assert code == 0
+    with open(os.path.join(GOLDEN, name + ".txt"), encoding="utf-8") as fh:
+        assert out == fh.read()
+    with open(os.path.join(GOLDEN, name + ".csv"), "rb") as fh:
+        assert out_csv.read_bytes() == fh.read()

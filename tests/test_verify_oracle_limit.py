@@ -1,0 +1,21 @@
+"""``run_box_suite`` hands the oracle every mask its ``oracle_limit`` admits.
+
+The oracle's own default bound is 24 vertices, but a box sweep may reach
+the 25-cell cap, so a sweep asked to check graphs up to 25 vertices must
+not fail on the full 5x5 box.
+"""
+
+from __future__ import annotations
+
+from supergrid import verification
+from supergrid.bitboard import box
+
+
+def test_oracle_limit_covers_the_full_25_cell_box(monkeypatch):
+    full = box(5, 5).full
+    monkeypatch.setattr(verification, "box_masks", lambda width, height: [full])
+    report = verification.run_box_suite(5, 5, oracle_limit=25)
+    assert report.total_subsets == 1
+    assert report.strict_instances == 1
+    assert report.oracle_checked == 1
+    assert report.total_violations() == 0
