@@ -3,24 +3,29 @@
 A subset of the width x height cell box is a Python int with bit i set for
 cell (i % width, i // width).  The numbering is row-major, so ascending bit
 order is the (y, x) vertex order used everywhere else in the library.  A
-:class:`Box` holds the tables for one box size, built once and cached:
+:class:`Box` holds the tables for one box size, cached per size:
 
-* ``neighbours[i]``: the king-move neighbour mask of cell i;
 * ``lines``: one mask per lattice line (horizontal, vertical, diagonal,
   antidiagonal) holding at least three cells, since shorter lines cannot
   have a gap;
+* ``neighbours[i]``: the king-move neighbour mask of cell i;
 * ``direction_bits[i]``: the bit of cell i's neighbour in each
   :class:`~supergrid.grid.Direction` (UL..DR), or 0 off the box.
 
+The per-cell tables take W*H bits per cell, so they are built on first use,
+by the oracle or local connectivity; ``lines`` grows linearly with the box.
+
 Connectivity is a flood fill by king-move dilation, done with shifts and
-column masks over the whole board.  Local connectivity reads a 256-entry
+column masks over the whole board; the same dilation gives the fringe of a
+subset.  The linear-convex closure fills each line between its lowest and
+highest member until no line changes.  Local connectivity reads a 256-entry
 table indexed by a vertex's 8-bit neighbourhood pattern.  The predicates
 follow the conventions of :mod:`supergrid.classify`.
 
-This is the fast path for exhaustive box sweeps.  The ``Point`` predicates
-in :mod:`supergrid.classify` remain the general-input API (sparse graphs
-with large coordinates fit no mask) and the reference this module is tested
-against.
+This is the fast path for box sweeps and seeded growth.  The ``Point``
+predicates in :mod:`supergrid.classify` remain the general-input API (sparse
+graphs with large coordinates fit no mask) and the reference this module is
+tested against.
 """
 
 from __future__ import annotations
@@ -53,50 +58,65 @@ def mask_to_graph(mask: int, width: int) -> SupergridGraph:
 class Box:
     """Tables and predicates for subsets of one width x height box."""
 
+    # Slots, not cached_property: an instance __dict__ slows the predicates' attribute loads.
     __slots__ = ("width", "height", "full", "_not_first_col", "_not_last_col",
-                 "neighbours", "lines", "direction_bits")
+                 "lines", "_direction_bits", "_neighbours")
 
     def __init__(self, width: int, height: int):
         self.width = width
         self.height = height
-        cells = width * height
-        self.full = (1 << cells) - 1
+        self.full = (1 << (width * height)) - 1
         first_col = sum(1 << (y * width) for y in range(height))
         self._not_first_col = self.full & ~first_col
         self._not_last_col = self.full & ~(first_col << (width - 1))
-
-        def bit(x: int, y: int) -> int:
-            return 1 << (y * width + x) if 0 <= x < width and 0 <= y < height else 0
-
-        self.direction_bits = tuple(
-            tuple(bit(i % width + dx, i // width + dy) for dx, dy in OFFSETS)
-            for i in range(cells)
-        )
-        self.neighbours = tuple(sum(bits) for bits in self.direction_bits)
-
         lines: dict[tuple[str, int], int] = {}
         for y in range(height):
             for x in range(width):
                 for key in (("h", y), ("v", x), ("d", y - x), ("a", y + x)):
-                    lines[key] = lines.get(key, 0) | bit(x, y)
+                    lines[key] = lines.get(key, 0) | 1 << (y * width + x)
         self.lines = tuple(m for m in lines.values() if m.bit_count() >= 3)
+        self._direction_bits = self._neighbours = None
+
+    @property
+    def direction_bits(self) -> tuple[tuple[int, ...], ...]:
+        if self._direction_bits is None:
+            width, height = self.width, self.height
+            self._direction_bits = tuple(
+                tuple(1 << ((y + dy) * width + x + dx) if 0 <= x + dx < width
+                      and 0 <= y + dy < height else 0 for dx, dy in OFFSETS)
+                for y in range(height) for x in range(width)
+            )
+        return self._direction_bits
+
+    @property
+    def neighbours(self) -> tuple[int, ...]:
+        if self._neighbours is None:
+            self._neighbours = tuple(sum(bits) for bits in self.direction_bits)
+        return self._neighbours
+
+    def dilate(self, mask: int, within: int) -> int:
+        """Cells of ``within`` that are in the subset or one king move from it."""
+        h = mask | ((mask << 1) & self._not_first_col) | ((mask >> 1) & self._not_last_col)
+        return (h | (h << self.width) | (h >> self.width)) & within
 
     def is_connected(self, mask: int) -> bool:
         """True iff the subset has at most one vertex or one flood reaches all."""
-        if not mask:
-            return True
-        width, left, right = self.width, self._not_first_col, self._not_last_col
+        dilate = self.dilate
         reach = mask & -mask
-        while True:  # one king-move dilation per round, kept inside the subset
-            h = reach | ((reach << 1) & left) | ((reach >> 1) & right)
-            grown = (h | (h << width) | (h >> width)) & mask
+        while reach != mask:  # one dilation per round, kept inside the subset
+            grown = dilate(reach, mask)
             if grown == reach:
-                return grown == mask
+                return False
             reach = grown
+        return True
 
     def is_two_connected(self, mask: int) -> bool:
-        """True iff |V| >= 3, the subset is connected, and no vertex cuts it."""
-        if mask.bit_count() < 3 or not self.is_connected(mask):
+        """True iff |V| >= 3, the subset is connected, and no vertex cuts it.
+
+        No separate connectivity flood: with |V| >= 3, some single removal
+        leaves a disconnected subset disconnected.
+        """
+        if mask.bit_count() < 3:
             return False
         m = mask
         while m:
@@ -117,6 +137,17 @@ class Box:
             if seg and line & ((1 << seg.bit_length()) - (seg & -seg)) != seg:
                 return False
         return True
+
+    def close(self, mask: int) -> int:
+        """Linear-convex closure: fill every line between its end bits until nothing changes."""
+        while True:
+            before = mask
+            for line in self.lines:
+                seg = mask & line
+                if seg:
+                    mask |= line & ((1 << seg.bit_length()) - (seg & -seg))
+            if mask == before:
+                return mask
 
     def pattern(self, mask: int, i: int) -> int:
         """8-bit neighbourhood of cell i in the subset, bit d for Direction d."""

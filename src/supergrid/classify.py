@@ -15,7 +15,7 @@ these, so they are library choices, stated here and tested):
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
@@ -42,26 +42,6 @@ class LineKey:
 
     direction: LineDirection
     index: int
-
-
-_DIRECTION_RANK = {d: i for i, d in enumerate(LineDirection)}
-
-
-def line_keys(p: Point) -> tuple[LineKey, LineKey, LineKey, LineKey]:
-    """The four lines through p, one per direction."""
-    return (
-        LineKey(LineDirection.HORIZONTAL, p.y),
-        LineKey(LineDirection.VERTICAL, p.x),
-        LineKey(LineDirection.DIAGONAL, p.y - p.x),
-        LineKey(LineDirection.ANTIDIAGONAL, p.y + p.x),
-    )
-
-
-def line_parameter(direction: LineDirection, p: Point) -> int:
-    """Position of p along a line of the given direction (x, except y for vertical)."""
-    if direction is LineDirection.VERTICAL:
-        return p.y
-    return p.x
 
 
 def point_on_line(key: LineKey, parameter: int) -> Point:
@@ -104,19 +84,26 @@ class ClassificationReport:
 def line_gaps(points: Iterable[Point]) -> Iterator[tuple[LineKey, int, int]]:
     """Every line gap (line, a, b): points at parameters a and b, none between, b > a + 1.
 
-    Points are bucketed by each of their four LineKeys; a sorted bucket that
-    skips a parameter has a gap.  Gaps come in a fixed order (direction, line
-    index, then parameter), so the first one is deterministic.
+    Points are bucketed per direction by line index (y, x, y - x, y + x) at
+    their :func:`point_on_line` parameter (x, but y on vertical lines); a
+    sorted bucket that skips a parameter has a gap.  Gaps come in a fixed
+    order (direction, line index, then parameter), so the first one is
+    deterministic.
     """
-    buckets: dict[LineKey, list[int]] = {}
+    buckets = (defaultdict(list), defaultdict(list), defaultdict(list), defaultdict(list))
+    horizontal, vertical, diagonal, antidiagonal = buckets
     for p in points:
-        for key in line_keys(p):
-            buckets.setdefault(key, []).append(line_parameter(key.direction, p))
-    for key in sorted(buckets, key=lambda k: (_DIRECTION_RANK[k.direction], k.index)):
-        params = sorted(buckets[key])
-        for a, b in zip(params, params[1:]):
-            if b - a > 1:
-                yield key, a, b
+        x, y = p.x, p.y
+        horizontal[y].append(x)
+        vertical[x].append(y)
+        diagonal[y - x].append(x)
+        antidiagonal[y + x].append(x)
+    for direction, bucket in zip(LineDirection, buckets):
+        for index in sorted(bucket):
+            params = sorted(bucket[index])
+            for a, b in zip(params, params[1:]):
+                if b - a > 1:
+                    yield LineKey(direction, index), a, b
 
 
 def linear_convexity_violation(g: SupergridGraph) -> ViolationWitness | None:

@@ -10,7 +10,8 @@ seconds-scale.
 Randomized mode grows a connected blob cell by cell and then repairs it to
 linear convexity by closing every line gap; uniform subsets of useful size
 are almost never linearly convex, so repair-by-addition is what makes the
-sampler productive.
+sampler productive.  The blob is a subset mask too, grown, closed and tested
+on the kernel; :func:`linear_convex_closure` is that closure on ``Point`` sets.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .classify import (
     point_on_line,
 )
 from .errors import BoxTooLarge, GenerationBudgetExhausted
-from .grid import Point, SupergridGraph, from_points, neighbors
+from .grid import Point, SupergridGraph, from_points
 
 EXHAUSTIVE_CELL_CAP = 25
 GROWTH_BUDGET = 1000
@@ -66,8 +67,9 @@ class EnumSpec:
             raise ValueError(f"unknown predicates: {sorted(unknown)}")
 
 
-def _satisfies(g: SupergridGraph, require: frozenset[str]) -> bool:
-    return all(PREDICATES[name](g) for name in _PREDICATE_ORDER if name in require)
+def _mask_checks(kernel: bitboard.Box, require: frozenset[str]) -> list[Callable[[int], bool]]:
+    """The kernel's tests for ``require``, cheap ones first."""
+    return [getattr(kernel, "is_" + name) for name in _PREDICATE_ORDER if name in require]
 
 
 def box_masks(width: int, height: int) -> range:
@@ -87,8 +89,7 @@ def enumerate_graphs(spec: EnumSpec) -> Iterator[SupergridGraph]:
     once per equivalence class under the dihedral group plus translation.
     """
     masks = box_masks(spec.width, spec.height)
-    kernel = bitboard.box(spec.width, spec.height)
-    checks = [getattr(kernel, "is_" + name) for name in _PREDICATE_ORDER if name in spec.require]
+    checks = _mask_checks(bitboard.box(spec.width, spec.height), spec.require)
     seen: set[tuple[tuple[int, int], ...]] = set()
     for mask in masks:
         if mask.bit_count() < spec.min_vertices:
@@ -168,22 +169,23 @@ def random_graph(spec: EnumSpec) -> SupergridGraph:
     ``min_vertices`` and every predicate in ``require`` hold.  Deterministic
     for a fixed seed; raises GenerationBudgetExhausted after 1000 iterations
     or when the blob cannot grow further.
+
+    The blob is a box mask; the fringe's ascending set bits are the candidate
+    cells in (y, x) order, and the kernel closes gaps and tests ``require``.
     """
     rng = random.Random(spec.seed)
-    box = SupergridGraph(Point(x, y) for y in range(spec.height) for x in range(spec.width))
-    cells = box.sorted_vertices()
-    current: set[Point] = {cells[rng.randrange(len(cells))]}
+    kernel = bitboard.box(spec.width, spec.height)
+    checks = _mask_checks(kernel, spec.require)
+    mask = 1 << rng.randrange(spec.width * spec.height)
     for _ in range(GROWTH_BUDGET):
-        g = SupergridGraph(current)
-        if len(g) >= spec.min_vertices and _satisfies(g, spec.require):
-            return g
-        fringe = {w for p in current for w in neighbors(box, p)} - current
-        candidates = sorted(fringe, key=Point.key)
-        if not candidates:
+        if mask.bit_count() >= spec.min_vertices and all(check(mask) for check in checks):
+            return mask_to_graph(mask, spec.width)
+        fringe = kernel.dilate(mask, kernel.full) & ~mask
+        if not fringe:
             break
-        current.add(candidates[rng.randrange(len(candidates))])
-        closed, _ = linear_convex_closure(current)
-        current = set(closed.vertices)
+        for _ in range(rng.randrange(fringe.bit_count())):
+            fringe &= fringe - 1  # drop the lowest candidate
+        mask = kernel.close(mask | (fringe & -fringe))
     raise GenerationBudgetExhausted(
         f"no {sorted(spec.require)} graph of >= {spec.min_vertices} vertices "
         f"found in {spec.width}x{spec.height} with seed {spec.seed}"

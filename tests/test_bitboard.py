@@ -3,16 +3,20 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
 from supergrid import (
+    EnumSpec,
     SizeBoundExceeded,
     brute_force_hamiltonian,
     is_connected,
     is_linear_convex,
     is_locally_connected,
     is_two_connected,
+    linear_convex_closure,
+    random_graph,
 )
 from supergrid import bitboard
 from supergrid.bitboard import local_table, mask_to_graph
@@ -110,3 +114,35 @@ def test_mask_oracle_bound_and_tiny_inputs():
     assert brute_force_hamiltonian_mask(neighbours, 0b0011_0011) == [0, 1, 4, 5]
     with pytest.raises(SizeBoundExceeded):
         brute_force_hamiltonian_mask(neighbours, 0b1111, bound=3)
+
+
+def point_mask(points, width: int) -> int:
+    return sum(1 << (p.y * width + p.x) for p in points)
+
+
+def test_closure_matches_point_closure_on_4x4_universe():
+    box = bitboard.box(4, 4)
+    grew = 0
+    for mask in range(1 << 16):
+        closed = box.close(mask)
+        want, added = linear_convex_closure(mask_to_graph(mask, 4))
+        assert closed == point_mask(want.vertices, 4), mask
+        assert closed & ~mask == point_mask(added, 4), mask
+        grew += closed != mask
+    assert grew > 30000
+
+
+def test_random_graph_on_a_large_box_keeps_tables_linear():
+    # Per-cell neighbour tables would take O((W*H)**2) bits, about 170 MB
+    # here; growing on the line masks alone peaks near 1.3 MB.
+    bitboard.box.cache_clear()
+    spec = EnumSpec(128, 128, min_vertices=10,
+                    require=frozenset({"two_connected", "linear_convex"}), seed=0)
+    tracemalloc.start()
+    try:
+        g = random_graph(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(g) >= 10 and is_two_connected(g) and is_linear_convex(g)
+    assert peak < 10 * 2**20, peak

@@ -329,3 +329,46 @@ def test_cli_oracle_bound_above_supported_depth_is_an_error_not_a_traceback():
     assert proc.stderr.startswith("error: ")
     assert "2000" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+# ------------------------------------------------------ exit-code contract --
+
+FILE_COMMANDS = (
+    ("classify",),
+    ("hamcycle",),
+    ("oracle",),
+    ("trace", "--svg", "{tmp}/out.svg"),
+)
+BAD_FILES = ("{tmp}/missing.txt", "{tmp}", "{tmp}/empty.txt", "{tmp}/latin1.txt", "{tmp}/bad.txt")
+
+CONTRACT_CASES = [
+    (name, path, *options) for name, *options in FILE_COMMANDS for path in BAD_FILES
+] + [
+    (cmd, "--box", box) for cmd in ("enumerate", "verify")
+    for box in ("4", "axb", "0x3", "2x-1", "6x6")
+] + [
+    ("oracle", "{good}", "--bound", bound) for bound in ("x", "-1", "2000")
+] + [
+    ("trace", "{good}", "--svg", "{tmp}/out.svg", "--cell", cell) for cell in ("0", "-3", "x")
+] + [
+    ("enumerate", "--box", "2x2", "--min", "x"),
+    ("verify", "--box", "2x2", "--oracle-limit", "x"),
+    ("enumerate", "--box", "2x2", "--require", "bogus"),
+    ("enumerate", "--box", "2x2", "--require", "connected,,bogus"),
+] + [
+    (*argv, out) for out in ("{tmp}/no-such-dir/out", "{tmp}")
+    for argv in (("hamcycle", "{good}", "--trace"), ("trace", "{good}", "--svg"),
+                 ("enumerate", "--box", "2x2", "--csv"))
+]
+
+
+@pytest.mark.parametrize("argv", CONTRACT_CASES, ids=" ".join)
+def test_cli_exit_code_contract_on_bad_input(tmp_path, argv):
+    (tmp_path / "empty.txt").write_text("")
+    (tmp_path / "latin1.txt").write_bytes(b"#\xff#\n")
+    (tmp_path / "bad.txt").write_text("#a#\n")
+    proc = run_cli_process(*(a.format(tmp=tmp_path, good=fixture("block2x2.txt")) for a in argv))
+    assert 0 <= proc.returncode <= 4, (proc.returncode, proc.stderr)
+    assert "Traceback" not in proc.stderr, proc.stderr
+    if proc.returncode == 1:
+        assert proc.stderr.strip(), argv
