@@ -7,7 +7,8 @@ order is the (y, x) vertex order used everywhere else in the library.  A
 
 * ``lines``: one mask per lattice line (horizontal, vertical, diagonal,
   antidiagonal) holding at least three cells, since shorter lines cannot
-  have a gap;
+  have a gap; each is a run of bits at stride 1, W, W+1 or W-1 cut to the
+  box, built arithmetically in O(W*H/64) words per line;
 * ``neighbours[i]``: the king-move neighbour mask of cell i;
 * ``direction_bits[i]``: the bit of cell i's neighbour in each
   :class:`~supergrid.grid.Direction` (UL..DR), or 0 off the box.
@@ -69,12 +70,18 @@ class Box:
         first_col = sum(1 << (y * width) for y in range(height))
         self._not_first_col = self.full & ~first_col
         self._not_last_col = self.full & ~(first_col << (width - 1))
-        lines: dict[tuple[str, int], int] = {}
-        for y in range(height):
-            for x in range(width):
-                for key in (("h", y), ("v", x), ("d", y - x), ("a", y + x)):
-                    lines[key] = lines.get(key, 0) | 1 << (y * width + x)
-        self.lines = tuple(m for m in lines.values() if m.bit_count() >= 3)
+        # (first bit b, stride s, length n) of each line: rows, columns, diagonals
+        # (y - x fixed) from the upper-left end, antidiagonals from the upper-right.
+        runs = [(y * width, 1, width) for y in range(height)]
+        runs += [(x, width, height) for x in range(width)]
+        for d in range(1 - width, height):
+            x0 = max(0, -d)
+            runs.append(((x0 + d) * width + x0, width + 1, min(width, height - d) - x0))
+        for a in range(width + height - 1):
+            x1 = min(width - 1, a)
+            runs.append(((a - x1) * width + x1, width - 1, x1 - max(0, a - height + 1) + 1))
+        # Bits b, b + s, ..., b + (n - 1) s form a geometric series.
+        self.lines = tuple(((1 << s * n) - 1) // ((1 << s) - 1) << b for b, s, n in runs if n >= 3)
         self._direction_bits = self._neighbours = None
 
     @property

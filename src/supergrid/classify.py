@@ -7,20 +7,21 @@ these, so they are library choices, stated here and tested):
 * the empty graph is connected (vacuously) but not 2-connected;
 * 2-connectivity additionally requires at least 3 vertices (the smallest
   cycle has 3), and is decided via the articulation-vertex characterization:
-  one iterative lowpoint DFS reports both whether it reached every vertex
-  and whether it met a cut vertex;
+  one iterative lowpoint DFS over the integer neighbour lists of
+  :func:`~supergrid.grid.vertex_ids` reports both whether it reached every
+  vertex and whether it met a cut vertex; connectivity is the same DFS;
 * empty and singleton induced neighborhoods count as connected, so vertices
   of degree 0 or 1 do not by themselves fail local connectivity.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
-from .grid import Point, SupergridGraph, induced_neighborhood, neighbors
+from .grid import Point, SupergridGraph, induced_neighborhood, vertex_ids
 
 
 class LineDirection(Enum):
@@ -123,63 +124,55 @@ def is_linear_convex(g: SupergridGraph) -> bool:
     return linear_convexity_violation(g) is None
 
 
-def is_connected(g: SupergridGraph) -> bool:
-    """True iff g has at most one vertex or one traversal reaches all of them."""
-    n = len(g)
-    if n <= 1:
-        return True
-    start = g.sorted_vertices()[0]
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        for w in neighbors(g, queue.popleft()):
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == n
+def lowpoint_dfs(nbrs: Sequence[Sequence[int]]) -> tuple[bool, bool]:
+    """(reaches every vertex, meets a cut vertex) for one DFS from id 0.
 
-
-def _lowpoint_dfs(g: SupergridGraph) -> tuple[bool, bool]:
-    """(reaches every vertex, meets a cut vertex) for one DFS from the smallest vertex.
-
-    Iterative lowpoint DFS (Hopcroft and Tarjan, "Algorithm 447: efficient
-    algorithms for graph manipulation", CACM 1973): a non-root vertex p is a
-    cut vertex iff some DFS child v has low[v] >= index[p], and the root is
-    one iff it has more than one DFS child.
+    ``nbrs`` is a neighbour-id table such as :func:`~supergrid.grid.vertex_ids`
+    builds, so id 0 is the smallest vertex.  Iterative lowpoint DFS (Hopcroft
+    and Tarjan, "Algorithm 447: efficient algorithms for graph manipulation",
+    CACM 1973): a non-root vertex p is a cut vertex iff some DFS child v has
+    low[v] >= index[p], and the root is one iff it has more than one DFS child.
+    The tree edge back to p may count towards low[v]: it lowers low[v] at
+    most to index[p], which leaves that test as it was.
     """
-    if not len(g):
+    n = len(nbrs)
+    if not n:
         return True, False
-    root = g.sorted_vertices()[0]
-    index = {root: 0}
-    low = {root: 0}
-    parent: dict[Point, Point | None] = {root: None}
+    index, low = [-1] * n, [0] * n
+    index[0] = 0
+    reached = 1
     root_children = 0
     cut = False
-    # Explicit stack of (vertex, neighbor iterator) frames.
-    stack = [(root, iter(neighbors(g, root)))]
+    # Explicit stack of (vertex, neighbour iterator) frames.
+    stack = [(0, iter(nbrs[0]))]
     while stack:
         v, it = stack[-1]
         for w in it:
-            if w not in index:
-                parent[w] = v
-                index[w] = low[w] = len(index)
-                root_children += v == root
-                stack.append((w, iter(neighbors(g, w))))
+            if index[w] < 0:
+                index[w] = low[w] = reached
+                reached += 1
+                root_children += v == 0
+                stack.append((w, iter(nbrs[w])))
                 break
-            if w != parent[v]:
-                low[v] = min(low[v], index[w])
+            if index[w] < low[v]:
+                low[v] = index[w]
         else:
             stack.pop()
-            p = parent[v]
-            if p is not None:
+            if stack:
+                p = stack[-1][0]
                 low[p] = min(low[p], low[v])
-                cut = cut or (p != root and low[v] >= index[p])
-    return len(index) == len(g), cut or root_children > 1
+                cut = cut or (p != 0 and low[v] >= index[p])
+    return reached == n, cut or root_children > 1
 
 
-def is_two_connected(g: SupergridGraph) -> bool:
-    """True iff |V| >= 3, g is connected, and g has no articulation vertex."""
-    connected, cut = _lowpoint_dfs(g)
+def is_connected(g: SupergridGraph) -> bool:
+    """True iff g has at most one vertex or one traversal reaches all of them."""
+    return lowpoint_dfs(vertex_ids(g)[2])[0]
+
+
+def is_two_connected(g: SupergridGraph, nbrs: Sequence[Sequence[int]] | None = None) -> bool:
+    """True iff |V| >= 3 and g is connected with no cut vertex (``nbrs``: g's built id table)."""
+    connected, cut = lowpoint_dfs(vertex_ids(g)[2] if nbrs is None else nbrs)
     return len(g) >= 3 and connected and not cut
 
 
@@ -204,7 +197,7 @@ def classify(g: SupergridGraph) -> ClassificationReport:
     """
     convexity = linear_convexity_violation(g)
     locality = local_connectivity_violation(g)
-    connected, cut = _lowpoint_dfs(g)
+    connected, cut = lowpoint_dfs(vertex_ids(g)[2])
     return ClassificationReport(
         vertex_count=len(g),
         connected=connected,

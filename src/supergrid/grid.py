@@ -68,9 +68,6 @@ class Direction(Enum):
     def opposite(self) -> "Direction":
         return _OPPOSITE[self]
 
-    def apply(self, p: Point) -> Point:
-        return Point(p.x + self.value[0], p.y + self.value[1])
-
 
 _OPPOSITE = {
     Direction.UL: Direction.DR,
@@ -97,11 +94,10 @@ def adjacent(u: Point, v: Point) -> bool:
 class SupergridGraph:
     """Immutable finite vertex set with implicit 8-neighborhood adjacency."""
 
-    __slots__ = ("_vertices", "_sorted", "_bbox")
+    __slots__ = ("_vertices", "_bbox")
 
     def __init__(self, vertices: Iterable[Point]):
         self._vertices = frozenset(vertices)
-        self._sorted: tuple[Point, ...] | None = None
         self._bbox: tuple[int, int, int, int] | None = None
 
     @property
@@ -129,10 +125,8 @@ class SupergridGraph:
         return f"SupergridGraph({list(self.sorted_vertices())!r})"
 
     def sorted_vertices(self) -> tuple[Point, ...]:
-        """Vertices in (y, x) lexicographic order; cached."""
-        if self._sorted is None:
-            self._sorted = tuple(sorted(self._vertices, key=Point.key))
-        return self._sorted
+        """Vertices in (y, x) lexicographic order, sorted per call (see :func:`vertex_ids`)."""
+        return tuple(sorted(self._vertices, key=Point.key))
 
     def bounding_box(self) -> tuple[int, int, int, int] | None:
         """(min_x, min_y, max_x, max_y), or None for the empty graph."""
@@ -162,6 +156,24 @@ def neighbors(g: SupergridGraph, v: Point) -> list[Point]:
     if v not in verts:
         raise VertexNotInGraph(f"{v} is not a vertex of the graph")
     return [w for dx, dy in OFFSETS if (w := Point(v.x + dx, v.y + dy)) in verts]
+
+
+VertexTable = tuple[tuple[Point, ...], dict[tuple[int, int], int], list[list[int]]]
+
+
+def vertex_ids(g: SupergridGraph) -> VertexTable:
+    """Vertex ids in (y, x) order: the points, an (x, y) -> id map, neighbour ids.
+
+    ``nbrs[i]`` lists the ids of :func:`neighbors` of ``points[i]``, in Direction
+    order.  Not cached on the graph: a solve builds one and shares it.
+    """
+    points = g.sorted_vertices()
+    ident = {(p.x, p.y): i for i, p in enumerate(points)}
+    nbrs = [
+        [j for dx, dy in OFFSETS if (j := ident.get((p.x + dx, p.y + dy))) is not None]
+        for p in points
+    ]
+    return points, ident, nbrs
 
 
 def induced_neighborhood(g: SupergridGraph, v: Point) -> SupergridGraph:

@@ -37,8 +37,8 @@ same machinery (bounded diversion); the trace records what was attached.
 DIRECT_INSERT picks the first frontier vertex in frontier order ((y, x),
 reversed on demand) that has an insertable edge, and on it the edge whose
 tail u has the smallest position counted from ``verts[0]``; u is the step's
-``anchor_u1``.  One engine keeps its state across steps: vertex ids in
-(y, x) order with neighbour lists built once per graph, the cycle as
+``anchor_u1``.  One engine keeps its state across steps: the vertex-id table
+it shares with the precheck (:func:`~supergrid.grid.vertex_ids`), the cycle as
 successor/predecessor arrays with order-maintenance labels for positions,
 the frontier set, and a lazy min-heap of the frontier vertices that have an
 insertable edge.  Splicing x into the edge (u, v) rechecks only frontier
@@ -67,7 +67,7 @@ from .errors import (
     PreconditionViolated,
     SizeBoundExceeded,
 )
-from .grid import OFFSETS, Point, SupergridGraph, adjacent, neighbors
+from .grid import Point, SupergridGraph, VertexTable, adjacent, neighbors, vertex_ids
 
 # Compass order for pivot candidates around the anchor.
 _PIVOT_OFFSETS: tuple[tuple[int, int], ...] = (
@@ -149,50 +149,34 @@ def seed_cycle(g: SupergridGraph) -> Cycle:
     adjacent pair of its neighbor list in scan order.  Local connectivity
     (guaranteed by the preconditions) makes that pair exist.
     """
-    failed = _failed_precondition(g, strict=True)
+    table = vertex_ids(g)
+    failed = _failed_precondition(g, table, strict=True)
     if failed is not None:
         raise PreconditionViolated(failed)
-    seed = _seed_triangle(g)
+    seed = _seed_triangle(g, table)
     if seed is None:  # unreachable on inputs meeting the preconditions
         raise PreconditionViolated("locally_connected", "no adjacent neighbor pair")
     return seed
 
 
-def _failed_precondition(g: SupergridGraph, strict: bool) -> str | None:
+def _failed_precondition(g: SupergridGraph, table: VertexTable, strict: bool) -> str | None:
     """The first failed solver precondition: 2-connectivity, then (strict) linear convexity."""
-    if not is_two_connected(g):
+    if not is_two_connected(g, table[2]):
         return "two_connected"
     if strict and not is_linear_convex(g):
         return "linear_convex"
     return None
 
 
-def _seed_triangle(g: SupergridGraph) -> Cycle | None:
+def _seed_triangle(g: SupergridGraph, table: VertexTable | None = None) -> Cycle | None:
     """First triangle in lex order: smallest apex, then neighbor-pair order."""
-    for u in g.sorted_vertices():
-        nbrs = neighbors(g, u)
-        for i in range(len(nbrs)):
-            for j in range(i + 1, len(nbrs)):
-                if adjacent(nbrs[i], nbrs[j]):
-                    return Cycle((u, nbrs[i], nbrs[j]))
+    points, _, nbrs = vertex_ids(g) if table is None else table
+    for u, row in enumerate(nbrs):
+        for i in range(len(row)):
+            for j in range(i + 1, len(row)):
+                if row[j] in nbrs[row[i]]:
+                    return Cycle((points[u], points[row[i]], points[row[j]]))
     return None
-
-
-def _vertex_ids(
-    g: SupergridGraph,
-) -> tuple[tuple[Point, ...], dict[tuple[int, int], int], list[list[int]]]:
-    """Vertex ids in (y, x) order: the points, an (x, y) -> id map, neighbour ids.
-
-    Neighbour ids follow Direction order.  Built per call, not cached on the
-    graph, so callers that hold many graphs do not hold their tables.
-    """
-    points = g.sorted_vertices()
-    ident = {(p.x, p.y): i for i, p in enumerate(points)}
-    nbrs = [
-        [j for dx, dy in OFFSETS if (j := ident.get((p.x + dx, p.y + dy))) is not None]
-        for p in points
-    ]
-    return points, ident, nbrs
 
 
 def _arcs_after_cuts(verts: tuple[Point, ...], pivot_indices: list[int]) -> list[tuple[Point, ...]]:
@@ -390,17 +374,19 @@ def _fallback_search(g: SupergridGraph, c: Cycle, x: Point) -> tuple[Cycle, Exte
 class _Engine:
     """One cycle growing inside one graph; the state persists across steps.
 
-    Vertex ids index ``g.sorted_vertices()``, so id order is (y, x) order.
-    The cycle is a ring of ``succ``/``pred`` ids from ``head`` (its
-    ``verts[0]``) whose order-maintenance ``label``s increase along it, so
-    comparing labels compares positions from ``verts[0]``.  ``ready`` flags
-    the off-cycle vertices that have an insertable edge; each of them has an
-    entry in the lazy min-heap ``heap`` (ids, negated for ``reverse``).
+    ``table`` is g's :func:`~supergrid.grid.vertex_ids`, so id order is (y, x)
+    order and ids a, b are adjacent iff b is in ``nbrs[a]``.  The cycle is a
+    ring of ``succ``/``pred`` ids from ``head`` (its ``verts[0]``) whose
+    order-maintenance ``label``s increase along it, so comparing labels
+    compares positions from ``verts[0]``.  ``ready`` flags the off-cycle
+    vertices that have an insertable edge; each of them has an entry in the
+    lazy min-heap ``heap`` (ids, negated for ``reverse``).
     """
 
-    def __init__(self, g: SupergridGraph, verts: Sequence[Point], reverse: bool):
+    def __init__(self, g: SupergridGraph, table: VertexTable, verts: Sequence[Point],
+                 reverse: bool):
         self.g, self.reverse = g, reverse
-        self.points, self.ident, self.nbrs = _vertex_ids(g)
+        self.points, self.ident, self.nbrs = table
         levels = 2  # labels live in [0, top), with n + 1 <= (4/3)**levels (see _label_after)
         while (len(self.points) + 1) * 3**levels > 4**levels:
             levels += 1
@@ -438,10 +424,10 @@ class _Engine:
 
     def _tail(self, w: int) -> int:
         """Tail of w's insertable edge with the smallest position, or -1."""
-        on, succ, label, points = self.on, self.succ, self.label, self.points
+        on, succ, label, near = self.on, self.succ, self.label, self.nbrs[w]
         best = -1
-        for a in self.nbrs[w]:
-            if on[a] and adjacent(points[succ[a]], points[w]):
+        for a in near:
+            if on[a] and succ[a] in near:
                 if best < 0 or label[a] < label[best]:
                     best = a
         return best
@@ -454,15 +440,14 @@ class _Engine:
 
     def step(self) -> ExtensionStep:
         """Attach one vertex: DIRECT_INSERT if the heap holds a ready vertex."""
-        heap, on, succ, pred, points = self.heap, self.on, self.succ, self.pred, self.points
+        heap, on, succ, pred, nbrs = self.heap, self.on, self.succ, self.pred, self.nbrs
         while heap:
             x = -heappop(heap) if self.reverse else heappop(heap)
             if on[x] or not self.ready[x]:
                 continue
             u = self._tail(x)
             v = succ[u]
-            px = points[x]
-            if u < 0 or not (on[u] and adjacent(points[u], px) and adjacent(px, points[v])):
+            if u < 0 or not (on[u] and u in nbrs[x] and v in nbrs[x]):
                 raise self._stuck(self.cycle())
             before = self.k
             self.label[x] = self._label_after(u)
@@ -472,14 +457,14 @@ class _Engine:
             self.frontier.discard(x)
             # Only N(x) can gain an insertable edge, (u, x) or (x, v); only
             # N(u) ∩ N(v) can lose one, (u, v).
-            for w in self.nbrs[x]:
+            for w in nbrs[x]:
                 if not on[w]:
                     self.frontier.add(w)
                     self._recheck(w)
-            for w in self.nbrs[u]:
-                if not on[w] and adjacent(points[w], points[v]):
+            for w in nbrs[u]:
+                if not on[w] and v in nbrs[w]:
                     self._recheck(w)
-            return ExtensionStep(before, points[x], ExtensionRule.DIRECT_INSERT, points[u])
+            return ExtensionStep(before, self.points[x], ExtensionRule.DIRECT_INSERT, self.points[u])
         return self._rewire()
 
     def _rewire(self) -> ExtensionStep:
@@ -547,7 +532,7 @@ def extend_cycle(
         raise ValueError("c is not a valid cycle of the host graph")
     if len(c) == len(g):
         raise AlreadyHamiltonian(f"cycle already covers all {len(g)} vertices")
-    engine = _Engine(g, c.verts, reverse_frontier)
+    engine = _Engine(g, vertex_ids(g), c.verts, reverse_frontier)
     step = engine.step()
     return engine.cycle(), step
 
@@ -563,7 +548,7 @@ def extension_steps(
         return
     if not validate_cycle(g, c):
         raise ValueError("c is not a valid cycle of the host graph")
-    engine = _Engine(g, c.verts, reverse_frontier)
+    engine = _Engine(g, vertex_ids(g), c.verts, reverse_frontier)
     while engine.k < len(g):
         step = engine.step()
         yield engine.cycle(), step
@@ -584,21 +569,24 @@ def find_hamiltonian_cycle(
     runs the same pipeline on any 2-connected graph as a conjecture probe,
     where ExtensionFailed is a legitimate answer.
     """
-    failed = _failed_precondition(g, strict)
+    table = vertex_ids(g)
+    failed = _failed_precondition(g, table, strict)
     if failed is not None:
         return HamiltonianResult(status="no_cycle", failed_predicate=failed)
-    return _seed_and_extend(g, reverse_frontier)
+    return _seed_and_extend(g, reverse_frontier, table)
 
 
-def _seed_and_extend(g: SupergridGraph, reverse_frontier: bool = False) -> HamiltonianResult:
-    """find_hamiltonian_cycle after its precheck, for callers that did their own."""
-    seed = _seed_triangle(g)
+def _seed_and_extend(g: SupergridGraph, reverse_frontier: bool = False,
+                     table: VertexTable | None = None) -> HamiltonianResult:
+    """find_hamiltonian_cycle after its precheck; builds g's vertex_ids unless given."""
+    table = vertex_ids(g) if table is None else table
+    seed = _seed_triangle(g, table)
     if seed is None:
         return HamiltonianResult(
             status="extension_failed",
             witness=StuckWitness(g, None, None),
         )
-    engine = _Engine(g, seed.verts, reverse_frontier)
+    engine = _Engine(g, table, seed.verts, reverse_frontier)
     steps: list[ExtensionStep] = []
     try:
         while engine.k < len(g):
@@ -622,7 +610,7 @@ def brute_force_hamiltonian(g: SupergridGraph, bound: int = 24) -> Cycle | None:
     :func:`brute_force_hamiltonian_mask`; the result (some Hamiltonian cycle
     from the smallest vertex, or None) is deterministic.
     """
-    verts, _, nbrs = _vertex_ids(g)
+    verts, _, nbrs = vertex_ids(g)
     adjacency = [sum(1 << j for j in row) for row in nbrs]
     path = brute_force_hamiltonian_mask(adjacency, (1 << len(verts)) - 1, bound)
     return None if path is None else Cycle(tuple(verts[i] for i in path))

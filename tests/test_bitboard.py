@@ -44,6 +44,28 @@ def test_tables_for_3x3():
     assert bitboard.box(3, 3) is box
 
 
+def per_bit_lines(width: int, height: int) -> list[int]:
+    """Every lattice line's mask, one bit at a time; lines under three cells dropped."""
+    lines: dict[tuple[str, int], int] = {}
+    for y in range(height):
+        for x in range(width):
+            for key in (("h", y), ("v", x), ("d", y - x), ("a", y + x)):
+                lines[key] = lines.get(key, 0) | 1 << (y * width + x)
+    return [m for m in lines.values() if m.bit_count() >= 3]
+
+
+@pytest.mark.parametrize(
+    "width,height",
+    [(w, h) for w in range(1, 10) for h in range(1, 10)]
+    + [(1, n) for n in (10, 17, 64)] + [(n, 1) for n in (10, 17, 64)],
+)
+def test_line_masks_match_per_bit_construction(width, height):
+    lines = bitboard.Box(width, height).lines
+    expected = per_bit_lines(width, height)
+    assert len(lines) == len(set(lines)) == len(expected)
+    assert set(lines) == set(expected)
+
+
 def test_local_table_matches_oracle():
     for pattern in range(256):
         points = [P(dx, dy) for d, (dx, dy) in enumerate(OFFSETS) if pattern >> d & 1]
