@@ -10,24 +10,18 @@ same predicate first (2-connectivity, then linear convexity).
 
 from __future__ import annotations
 
-import random
-import sys
 from collections import Counter
 
 import pytest
 
-from supergrid import bitboard
+from supergrid import bitboard, hamiltonian
 from supergrid.bitboard import mask_to_graph
 from supergrid.classify import classify, is_connected, is_two_connected, lowpoint_dfs
-from supergrid.enumeration import EnumSpec, random_graph
 from supergrid.errors import PreconditionViolated
 from supergrid.hamiltonian import find_hamiltonian_cycle, seed_cycle
 
 import reference_classify as ref
-
-hamiltonian = sys.modules["supergrid.hamiltonian"]
-
-SEEDED_MASKS = 1000  # per box, so 2,000 in all
+from test_predicates_beyond_4x4 import _seeded_masks  # 1,200 masks per box
 
 
 def test_lowpoint_dfs_on_tiny_tables():
@@ -66,28 +60,11 @@ def test_integer_dfs_matches_reference_on_4x4_universe():
     assert (connected_count, two_connected_count) == (37_197, 8_433)
 
 
-def seeded_masks(width: int, height: int, seed: int):
-    """A third uniform at a random density, the rest grown then perturbed."""
-    rng = random.Random(seed)
-    cells = width * height
-    for i in range(SEEDED_MASKS):
-        if i % 3 == 0:
-            density = rng.uniform(0.4, 1.0)
-            yield sum(1 << c for c in range(cells) if rng.random() < density)
-            continue
-        size = rng.randint(3, cells * 2 // 3)
-        spec = EnumSpec(width, height, min_vertices=size, seed=rng.randrange(1 << 30))
-        mask = sum(1 << (p.y * width + p.x) for p in random_graph(spec).vertices)
-        for _ in range(rng.randint(0, 2)):
-            mask ^= 1 << rng.randrange(cells)
-        yield mask
-
-
 @pytest.mark.parametrize("width, height, seed", [(6, 6, 60), (7, 7, 70)])
 def test_integer_dfs_matches_reference_on_seeded_masks(width, height, seed):
     box = bitboard.box(width, height)
     seen = Counter()
-    for mask in seeded_masks(width, height, seed):
+    for mask in _seeded_masks(width, height, seed):
         g = mask_to_graph(mask, width).translate(-2 * width, 3)
         connected, two_connected = box.is_connected(mask), box.is_two_connected(mask)
         assert is_connected(g) == ref.is_connected(g) == connected, mask
