@@ -19,9 +19,9 @@ by the oracle or local connectivity; ``lines`` grows linearly with the box.
 Connectivity is a flood fill by king-move dilation, done with shifts and
 column masks over the whole board; the same dilation gives the fringe of a
 subset.  The linear-convex closure fills each line between its lowest and
-highest member until no line changes.  Local connectivity reads a 256-entry
-table indexed by a vertex's 8-bit neighbourhood pattern.  The predicates
-follow the conventions of :mod:`supergrid.classify`.
+highest member until no line changes.  Local connectivity, here and in
+:mod:`supergrid.classify`, reads a 256-entry table indexed by a vertex's 8-bit
+neighbourhood pattern.  The predicates follow that module's conventions.
 
 This is the fast path for box sweeps and seeded growth.  The ``Point``
 predicates in :mod:`supergrid.classify` remain the general-input API (sparse

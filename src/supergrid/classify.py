@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
 
-from .grid import Point, SupergridGraph, induced_neighborhood, vertex_ids
+from .bitboard import local_table
+from .grid import OFFSETS, Point, SupergridGraph, vertex_ids
 
 
 class LineDirection(Enum):
@@ -177,9 +178,15 @@ def is_two_connected(g: SupergridGraph, nbrs: Sequence[Sequence[int]] | None = N
 
 
 def local_connectivity_violation(g: SupergridGraph) -> ViolationWitness | None:
-    """First vertex (lex order) whose induced neighborhood is disconnected."""
+    """First vertex (lex order) whose induced neighborhood is disconnected.
+
+    A vertex's neighbourhood is its 8-bit pattern (bit d for the neighbour in
+    Direction d), looked up in :func:`~supergrid.bitboard.local_table`.
+    """
+    table, cells = local_table(), {(p.x, p.y) for p in g.vertices}
     for v in g.sorted_vertices():
-        if not is_connected(induced_neighborhood(g, v)):
+        pattern = sum(1 << d for d, (dx, dy) in enumerate(OFFSETS) if (v.x + dx, v.y + dy) in cells)
+        if not table[pattern]:
             return ViolationWitness(predicate="locally_connected", points=(v,))
     return None
 

@@ -40,15 +40,17 @@ tail u has the smallest position counted from ``verts[0]``; u is the step's
 ``anchor_u1``.  One engine keeps its state across steps: the vertex-id table
 it shares with the precheck (:func:`~supergrid.grid.vertex_ids`), the cycle as
 successor/predecessor arrays with order-maintenance labels for positions,
-the frontier set, and a lazy min-heap of the frontier vertices that have an
-insertable edge.  Splicing x into the edge (u, v) rechecks only frontier
-vertices next to x, u and v, so a DIRECT_INSERT step costs O(log V) for the
-heap plus at worst amortised O(log² V) for relabelling, and a solve made of
-them is near-linear.  The other rules run unchanged on a materialised
-``Cycle`` and the engine is rebuilt from their result in O(V).  A
-DIRECT_INSERT step checks its splice locally (x off the cycle, u ~ x ~ v);
-the other rules' results are revalidated in full, and the final cycle is
-validated once.
+and a lazy min-heap of the frontier vertices that have an insertable edge.
+Splicing x into the edge (u, v) rechecks only frontier vertices next to x,
+u and v, so a DIRECT_INSERT step costs O(log V) for the heap plus at worst
+amortised O(log² V) for relabelling, and a solve made of them is
+near-linear.  The other rules run unchanged on a materialised ``Cycle`` and
+the engine is rebuilt from their result in O(V).  Every cycle is checked
+once: a DIRECT_INSERT step checks its splice locally (x off the cycle,
+u ~ x ~ v); a rewired cycle is a ``Cycle`` (distinct vertices, every edge
+checked) built from the old cycle's vertices plus one vertex of g, and
+must hold exactly those; the final cycle is a ``Cycle`` that must cover g.
+Only caller-supplied cycles go through :func:`~supergrid.cycles.validate_cycle`.
 """
 
 from __future__ import annotations
@@ -235,22 +237,14 @@ def _assemble(pieces: list[tuple[Point, ...]]) -> Cycle | None:
     return None
 
 
-def _pivot_reassemble(
-    g: SupergridGraph,
-    verts: tuple[Point, ...],
-    x: Point,
-    pivot_indices: list[int],
-) -> Cycle | None:
+def _pivot_reassemble(verts: tuple[Point, ...], x: Point, pivot_indices: list[int]) -> Cycle | None:
     """Cut at pivot-incident edges, then weave the arcs and x back together."""
     arcs = _arcs_after_cuts(verts, pivot_indices)
     # The anchor u1 sits at index 0 with both its edges cut, so some arc is
     # exactly (u1,); fix it first to pin rotation and keep the search small.
     anchor_pos = next(i for i, arc in enumerate(arcs) if arc == (verts[0],))
     pieces = [arcs[anchor_pos]] + arcs[anchor_pos + 1 :] + arcs[:anchor_pos] + [(x,)]
-    found = _assemble(pieces)
-    if found is not None and validate_cycle(g, found):
-        return found
-    return None
+    return _assemble(pieces)
 
 
 def _claim_rewire(
@@ -267,59 +261,51 @@ def _claim_rewire(
     x_nbrs = frozenset(neighbors(g, x))
     anchors = [v for v in verts if v in x_nbrs]
 
-    def pivot_candidates(u1: Point, u2: Point, uk: Point) -> list[Point]:
-        cands = []
-        for dx, dy in _PIVOT_OFFSETS:
-            w = Point(u1.x + dx, u1.y + dy)
-            if w not in g.vertices or w == x or w == u2 or w == uk:
-                continue
-            if adjacent(w, u2) or adjacent(w, uk):
-                cands.append(w)
-        # Condition C1: a pivot adjacent to x is preferred over one that is not.
-        return [w for w in cands if w in x_nbrs] + [w for w in cands if w not in x_nbrs]
+    def pivots() -> Iterator[tuple[Point, tuple[Point, ...], Point]]:
+        """(u1, the cycle rotated to start at u1, z) for every pivot z on the cycle.
+
+        A pivot z off the cycle would neighbor both ends of a cycle edge at
+        u1, which a failed DIRECT_INSERT pass over every frontier vertex
+        rules out.
+        """
+        for u1 in anchors:
+            rot = verts[position[u1]:] + verts[: position[u1]]
+            u2, uk = rot[1], rot[-1]
+            cands = [w for dx, dy in _PIVOT_OFFSETS
+                     if (w := Point(u1.x + dx, u1.y + dy)) in on_cycle and w != u2 and w != uk
+                     and (adjacent(w, u2) or adjacent(w, uk))]
+            # Condition C1: a pivot adjacent to x is preferred over one that is not.
+            for z in [w for w in cands if w in x_nbrs] + [w for w in cands if w not in x_nbrs]:
+                yield u1, rot, z
 
     # Pass 1: both pivots on the cycle.
-    for u1 in anchors:
-        rot = verts[position[u1]:] + verts[: position[u1]]
-        u2, uk = rot[1], rot[-1]
-        for z in pivot_candidates(u1, u2, uk):
-            if z not in on_cycle:
-                # z neighbors both ends of a cycle edge at u1, so a failed
-                # DIRECT_INSERT pass over every frontier vertex rules this out.
-                continue
-            rule = ExtensionRule.CLAIM1_REWIRE if z in x_nbrs else ExtensionRule.CLAIM2_REWIRE
-            orientations = []
-            if adjacent(z, u2):
-                orientations.append(rot)
-            if adjacent(z, uk):
-                orientations.append((rot[0],) + rot[:0:-1])
-            for oriented in orientations:
-                j = oriented.index(z)
-                found = _pivot_reassemble(g, oriented, x, [0, j])
+    for u1, rot, z in pivots():
+        rule = ExtensionRule.CLAIM1_REWIRE if z in x_nbrs else ExtensionRule.CLAIM2_REWIRE
+        orientations = []
+        if adjacent(z, rot[1]):
+            orientations.append(rot)
+        if adjacent(z, rot[-1]):
+            orientations.append((rot[0],) + rot[:0:-1])
+        for oriented in orientations:
+            j = oriented.index(z)
+            found = _pivot_reassemble(oriented, x, [0, j])
+            if found is not None:
+                return found, ExtensionStep(k, x, rule, u1, pivot_z=z)
+            z_nbrs = frozenset(neighbors(g, z))
+            for y in sorted((x_nbrs & z_nbrs & on_cycle) - {u1}, key=Point.key):
+                found = _pivot_reassemble(oriented, x, [0, j, oriented.index(y)])
                 if found is not None:
-                    return found, ExtensionStep(k, x, rule, u1, pivot_z=z)
-                z_nbrs = frozenset(neighbors(g, z))
-                for y in sorted((x_nbrs & z_nbrs & on_cycle) - {u1}, key=Point.key):
-                    t = oriented.index(y)
-                    found = _pivot_reassemble(g, oriented, x, [0, j, t])
-                    if found is not None:
-                        return found, ExtensionStep(k, x, rule, u1, pivot_z=z, pivot_y=y)
+                    return found, ExtensionStep(k, x, rule, u1, pivot_z=z, pivot_y=y)
 
     # Pass 2: the wanted second pivot exists but lies off the cycle; attach it
     # instead through the same machinery (its own direct insertion already
     # failed, so the claim conditions hold for it as the new target).
     if depth < _DIVERSION_DEPTH:
-        for u1 in anchors:
-            rot = verts[position[u1]:] + verts[: position[u1]]
-            u2, uk = rot[1], rot[-1]
-            for z in pivot_candidates(u1, u2, uk):
-                if z not in on_cycle:
-                    continue
-                z_nbrs = frozenset(neighbors(g, z))
-                for y in sorted((x_nbrs & z_nbrs) - on_cycle, key=Point.key):
-                    result = _claim_rewire(g, c, y, depth + 1)
-                    if result is not None:
-                        return result
+        for _, _, z in pivots():
+            for y in sorted((x_nbrs & frozenset(neighbors(g, z))) - on_cycle, key=Point.key):
+                result = _claim_rewire(g, c, y, depth + 1)
+                if result is not None:
+                    return result
     return None
 
 
@@ -330,44 +316,27 @@ def _fallback_search(g: SupergridGraph, c: Cycle, x: Point) -> tuple[Cycle, Exte
     x_nbrs = frozenset(neighbors(g, x))
     anchor = next((v for v in verts if v in x_nbrs), verts[0])
 
-    def try_insert(seq: tuple[Point, ...]) -> Cycle | None:
-        for i in range(k):
-            u, v = seq[i], seq[(i + 1) % k]
-            if u in x_nbrs and v in x_nbrs:
-                return Cycle(seq[: i + 1] + (x,) + seq[i + 1 :])
-        return None
+    def candidates() -> Iterator[tuple[Point, ...]]:
+        # One reversal: O(k^2) variants.
+        for i in range(k - 1):
+            for j in range(i + 1, k):
+                if adjacent(verts[i], verts[j]) and adjacent(verts[i + 1], verts[(j + 1) % k]):
+                    yield verts[: i + 1] + verts[i + 1 : j + 1][::-1] + verts[j + 1 :]
+        # Two adjacent-segment reversals: O(k^3) variants.
+        for i in range(k - 2):
+            for j in range(i + 1, k - 1):
+                for m in range(j + 1, k):
+                    if (adjacent(verts[i], verts[j]) and adjacent(verts[i + 1], verts[m])
+                            and adjacent(verts[j + 1], verts[(m + 1) % k])):
+                        yield (verts[: i + 1] + verts[i + 1 : j + 1][::-1]
+                               + verts[j + 1 : m + 1][::-1] + verts[m + 1 :])
 
-    step = ExtensionStep(k, x, ExtensionRule.FALLBACK_SEARCH, anchor)
-    # One reversal, insertion anywhere: O(k^2) variants x O(k) scan.
-    for i in range(k - 1):
-        for j in range(i + 1, k):
-            if not adjacent(verts[i], verts[j]):
-                continue
-            if not adjacent(verts[i + 1], verts[(j + 1) % k]):
-                continue
-            cand = verts[: i + 1] + verts[i + 1 : j + 1][::-1] + verts[j + 1 :]
-            found = try_insert(cand)
-            if found is not None and validate_cycle(g, found):
-                return found, step
-    # Two adjacent-segment reversals, insertion at the new junctions only.
-    for i in range(k - 2):
-        for j in range(i + 1, k - 1):
-            for m in range(j + 1, k):
-                if not adjacent(verts[i], verts[j]):
-                    continue
-                if not adjacent(verts[i + 1], verts[m]):
-                    continue
-                if not adjacent(verts[j + 1], verts[(m + 1) % k]):
-                    continue
-                cand = (
-                    verts[: i + 1]
-                    + verts[i + 1 : j + 1][::-1]
-                    + verts[j + 1 : m + 1][::-1]
-                    + verts[m + 1 :]
-                )
-                found = try_insert(cand)
-                if found is not None and validate_cycle(g, found):
-                    return found, step
+    # Insertion anywhere on each variant: an O(k) scan.
+    for seq in candidates():
+        for i in range(k):
+            if seq[i] in x_nbrs and seq[(i + 1) % k] in x_nbrs:
+                step = ExtensionStep(k, x, ExtensionRule.FALLBACK_SEARCH, anchor)
+                return Cycle(seq[: i + 1] + (x,) + seq[i + 1 :]), step
     return None
 
 
@@ -394,7 +363,7 @@ class _Engine:
         self.load(verts)
 
     def load(self, verts: Sequence[Point]) -> None:
-        """Rebuild ring, labels, frontier and heap from a cycle, in O(V)."""
+        """Rebuild ring, labels and heap from a cycle, in O(V)."""
         n = len(self.points)
         ids = [self.ident[p.x, p.y] for p in verts]
         self.head, self.k = ids[0], len(ids)
@@ -406,9 +375,8 @@ class _Engine:
         for j, v in enumerate(ids):
             on[v], label[v] = 1, j * gap
             succ[prev], pred[v], prev = v, prev, v
-        self.frontier = {w for v in ids for w in self.nbrs[v] if not on[w]}
         self.heap: list[int] = []
-        for w in self.frontier:
+        for w in self._frontier():
             self._recheck(w)
 
     def cycle(self) -> Cycle:
@@ -418,8 +386,14 @@ class _Engine:
             v = self.succ[v]
         return Cycle(tuple(verts))
 
+    def _frontier(self) -> list[int]:
+        """The off-cycle vertices next to the cycle, in frontier order; O(V)."""
+        on, nbrs = self.on, self.nbrs
+        ids = [w for w in range(len(on)) if not on[w] and any(on[a] for a in nbrs[w])]
+        return ids[::-1] if self.reverse else ids
+
     def _stuck(self, c: Cycle) -> ExtensionStuck:
-        first = sorted(self.frontier, reverse=self.reverse)[:1]
+        first = self._frontier()[:1]
         return ExtensionStuck(StuckWitness(self.g, c, self.points[first[0]] if first else None))
 
     def _tail(self, w: int) -> int:
@@ -454,12 +428,10 @@ class _Engine:
             succ[u], pred[x], succ[x], pred[v] = x, u, v, x
             on[x] = 1
             self.k += 1
-            self.frontier.discard(x)
             # Only N(x) can gain an insertable edge, (u, x) or (x, v); only
             # N(u) ∩ N(v) can lose one, (u, v).
             for w in nbrs[x]:
                 if not on[w]:
-                    self.frontier.add(w)
                     self._recheck(w)
             for w in nbrs[u]:
                 if not on[w] and v in nbrs[w]:
@@ -470,16 +442,14 @@ class _Engine:
     def _rewire(self) -> ExtensionStep:
         """No direct insertion: the claim rewires, then the fallback, on a Cycle."""
         g, c = self.g, self.cycle()
-        frontier = [self.points[w] for w in sorted(self.frontier, reverse=self.reverse)]
+        frontier = [self.points[w] for w in self._frontier()]
         found = (r for rule in (_claim_rewire, _fallback_search) for x in frontier
                  if (r := rule(g, c, x)) is not None)
         new, step = next(found, (None, None))
-        if (
-            new is None
-            or not validate_cycle(g, new)
-            or len(new) != len(c) + 1
-            or new.vertex_set() != c.vertex_set() | {step.attached_vertex}
-        ):
+        # new is a Cycle (distinct vertices, every edge checked); one vertex
+        # longer than c with this vertex set, it grew by exactly that vertex.
+        if (new is None or len(new) != len(c) + 1
+                or new.vertex_set() != c.vertex_set() | {step.attached_vertex}):
             raise self._stuck(c)
         self.load(new.verts)
         return step
@@ -525,16 +495,13 @@ def extend_cycle(
     Frontier vertices are tried smallest-first ((y, x) order; largest-first
     with ``reverse_frontier``), and the rule cascade is strict: every rule is
     exhausted over the whole frontier before the next one is considered.
-    Raises AlreadyHamiltonian when nothing is left to add and ExtensionStuck
-    (with a verbatim witness) when no rule applies.
+    Raises ValueError when c is not a valid cycle of g, AlreadyHamiltonian
+    when nothing is left to add and ExtensionStuck (with a verbatim witness)
+    when no rule applies.
     """
-    if not validate_cycle(g, c):
-        raise ValueError("c is not a valid cycle of the host graph")
-    if len(c) == len(g):
-        raise AlreadyHamiltonian(f"cycle already covers all {len(g)} vertices")
-    engine = _Engine(g, vertex_ids(g), c.verts, reverse_frontier)
-    step = engine.step()
-    return engine.cycle(), step
+    for grown in extension_steps(g, c, reverse_frontier=reverse_frontier):
+        return grown
+    raise AlreadyHamiltonian(f"cycle already covers all {len(g)} vertices")
 
 
 def extension_steps(
@@ -543,9 +510,10 @@ def extension_steps(
     *,
     reverse_frontier: bool = False,
 ) -> Iterator[tuple[Cycle, ExtensionStep]]:
-    """Extend to full coverage on one engine, yielding after every step."""
-    if len(c) >= len(g):
-        return
+    """Extend to full coverage on one engine, yielding after every step.
+
+    c is validated against g first (ValueError), also when it is as long as g.
+    """
     if not validate_cycle(g, c):
         raise ValueError("c is not a valid cycle of the host graph")
     engine = _Engine(g, vertex_ids(g), c.verts, reverse_frontier)
@@ -592,7 +560,7 @@ def _seed_and_extend(g: SupergridGraph, reverse_frontier: bool = False,
         while engine.k < len(g):
             steps.append(engine.step())
         cycle = engine.cycle()
-        if not validate_cycle(g, cycle) or cycle.vertex_set() != g.vertices:
+        if cycle.vertex_set() != g.vertices:
             raise ExtensionStuck(StuckWitness(g, cycle, None))
     except ExtensionStuck as stuck:
         return HamiltonianResult(

@@ -23,11 +23,14 @@ from .hamiltonian import ExtensionStep, ExtensionTrace
 
 
 def parse_lattice(text: str) -> SupergridGraph:
-    """Read lattice text into a graph; empty documents give the empty graph."""
+    """Read lattice text into a graph; empty documents give the empty graph.
+
+    Rows end only at ``\\n``, ``\\r\\n`` or ``\\r``; any other control or
+    separator character (form feed, U+2028, ...) is an InvalidCharacter.
+    """
     points = []
     y = 0
-    for line_no, raw in enumerate(text.splitlines()):
-        line = raw.rstrip("\r")
+    for line_no, line in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n")):
         if line.startswith(";"):
             continue
         for x, ch in enumerate(line):

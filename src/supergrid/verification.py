@@ -34,7 +34,7 @@ from .bitboard import mask_to_graph
 
 # The sweep itself uses none of the Point predicates, the enumerator, the
 # Point oracle or the solver's precheck (it calls the seed-and-extend core);
-# they stay importable from this module as the general API.
+# perfbench/layers.py wraps these names on this module, hence the imports.
 from .classify import is_linear_convex, is_locally_connected, is_two_connected  # noqa: F401
 from .enumeration import EXHAUSTIVE_CELL_CAP, box_masks, enumerate_graphs  # noqa: F401
 from .grid import Point, SupergridGraph

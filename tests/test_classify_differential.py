@@ -2,10 +2,12 @@
 
 ``reference_classify`` keeps, verbatim, the ``Point`` BFS and lowpoint DFS
 the library used before connectivity ran on ``grid.vertex_ids`` neighbour
-lists.  ``is_connected``, ``is_two_connected`` and ``classify()`` must answer
-as the reference and as the ``bitboard.Box`` kernel do, on every 4x4 mask
-and on seeded 6x6 and 7x7 masks; and the solver's precheck must fail the
-same predicate first (2-connectivity, then linear convexity).
+lists, and the local-connectivity pass that built and searched each induced
+neighbourhood before it read the 8-bit pattern table.  ``is_connected``,
+``is_two_connected``, ``local_connectivity_violation`` and ``classify()``
+must answer as the reference and as the ``bitboard.Box`` kernel do, on every
+4x4 mask and on seeded 6x6 and 7x7 masks; and the solver's precheck must
+fail the same predicate first (2-connectivity, then linear convexity).
 """
 
 from __future__ import annotations
@@ -16,7 +18,13 @@ import pytest
 
 from supergrid import bitboard, hamiltonian
 from supergrid.bitboard import mask_to_graph
-from supergrid.classify import classify, is_connected, is_two_connected, lowpoint_dfs
+from supergrid.classify import (
+    classify,
+    is_connected,
+    is_two_connected,
+    local_connectivity_violation,
+    lowpoint_dfs,
+)
 from supergrid.errors import PreconditionViolated
 from supergrid.hamiltonian import find_hamiltonian_cycle, seed_cycle
 
@@ -58,6 +66,19 @@ def test_integer_dfs_matches_reference_on_4x4_universe():
         connected_count += connected
         two_connected_count += two_connected
     assert (connected_count, two_connected_count) == (37_197, 8_433)
+
+
+def test_local_connectivity_witness_matches_reference_on_4x4_universe():
+    """The pattern-table pass names the same first vertex as the induced-graph reference."""
+    box = bitboard.box(4, 4)
+    failing = 0
+    for mask in range(1 << 16):
+        g = mask_to_graph(mask, 4).translate(-6, -9)
+        witness = local_connectivity_violation(g)
+        assert witness == ref.local_connectivity_violation(g), mask
+        assert (witness is None) == box.is_locally_connected(mask), mask
+        failing += witness is not None
+    assert failing == 54_417
 
 
 @pytest.mark.parametrize("width, height, seed", [(6, 6, 60), (7, 7, 70)])

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 
+import supergrid.hamiltonian
 from supergrid import (
     AlreadyHamiltonian,
     Cycle,
     ExtensionRule,
+    ExtensionStep,
     PreconditionViolated,
     SizeBoundExceeded,
     brute_force_hamiltonian,
@@ -91,6 +94,45 @@ def test_extend_cycle_already_hamiltonian(block2):
 def test_extend_cycle_rejects_foreign_cycle(block2):
     with pytest.raises(ValueError):
         extend_cycle(block2, Cycle(pts((5, 5), (6, 5), (6, 6))))
+
+
+def test_extension_steps_rejects_foreign_cycle_as_long_as_graph(block2):
+    # A valid cycle of another graph, as long as g: it must not pass as an
+    # already-complete cycle of g.
+    foreign = Cycle(pts((5, 5), (6, 5), (6, 6), (5, 6)))
+    with pytest.raises(ValueError):
+        list(extension_steps(block2, foreign))
+    with pytest.raises(ValueError):
+        extend_cycle(block2, foreign)
+    complete = Cycle(pts((0, 0), (1, 0), (1, 1), (0, 1)))
+    assert list(extension_steps(block2, complete)) == []
+
+
+@pytest.mark.parametrize("fault", ["cycle unchanged", "on-cycle vertex named", "wrong vertex named"])
+def test_rewire_gate_rejects_a_wrong_result(monkeypatch, fault):
+    # Rewired cycles are checked once, by the engine: a result that is not
+    # the old cycle plus the one vertex its step names is a stuck step.
+    g = mask_to_graph(307, 4)  # its permissive solve takes a claim rewire
+    assert find_hamiltonian_cycle(g, strict=False).trace.rule_counts()["CLAIM1_REWIRE"]
+    claim_rewire = supergrid.hamiltonian._claim_rewire
+    calls = []
+
+    def wrong_once(g, c, x, depth=0):
+        calls.append(x)
+        if len(calls) > 1:
+            return None
+        if fault != "wrong vertex named":
+            named = x if fault == "cycle unchanged" else c.verts[1]
+            return c, ExtensionStep(len(c), named, ExtensionRule.CLAIM1_REWIRE, c.verts[0])
+        new, step = claim_rewire(g, c, x, depth)
+        return new, dataclasses.replace(step, attached_vertex=c.verts[0])
+
+    monkeypatch.setattr(supergrid.hamiltonian, "_claim_rewire", wrong_once)
+    monkeypatch.setattr(supergrid.hamiltonian, "_fallback_search", lambda *a, **k: None)
+    r = find_hamiltonian_cycle(g, strict=False)
+    assert r.status == "extension_failed"
+    assert {step.rule for step in r.trace.steps} == {ExtensionRule.DIRECT_INSERT}
+    assert r.witness.cycle is not None and r.witness.frontier_vertex == calls[0]
 
 
 def test_first_claim_rewire_instance_in_enumeration_order():

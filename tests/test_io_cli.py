@@ -70,6 +70,16 @@ def test_parse_lattice_invalid_character():
     assert (err.value.line, err.value.column) == (0, 1)
 
 
+def test_parse_lattice_rows_break_only_at_newlines():
+    assert parse_lattice("##\r\n##\r##\n") == block(2, 3)
+    # str.splitlines would also break rows at these and read "##\f##" as a
+    # 2x2 block; each is an invalid character at its own line and column.
+    for sep in ("\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"):
+        with pytest.raises(InvalidCharacter) as err:
+            parse_lattice(f"#\r\n##{sep}##")
+        assert (err.value.line, err.value.column) == (1, 2), repr(sep)
+
+
 def test_parse_lattice_comments_and_ragged_rows():
     g = parse_lattice("; header\n##\n#\n; middle\n.#\n")
     assert g.vertices == frozenset(pts((0, 0), (1, 0), (0, 1), (1, 2)))
