@@ -592,12 +592,15 @@ def brute_force_hamiltonian_mask(
     ``adjacency[i]`` is the neighbour mask of vertex i; bits outside
     ``vertices`` are ignored, so a whole box's neighbour table serves every
     subset of it.  Anchored at the lowest vertex, neighbours tried in
-    ascending order; prunes branches where some unvisited vertex has fewer
-    than two usable neighbours or where the unvisited set is no longer
-    reachable from the current endpoint.  Returns the cycle as vertex numbers
-    from the anchor, or None.  The search recurses once per cycle vertex, so
-    a ``bound`` above :data:`MAX_ORACLE_BOUND` raises SizeBoundExceeded
-    before it starts.
+    ascending order; prunes branches where no unvisited vertex neighbours the
+    anchor (the cycle could not close), where some unvisited vertex has fewer
+    than two usable neighbours, or where the unvisited set is no longer
+    reachable from the current endpoint, and returns None at once when the
+    anchor has fewer than two neighbours.  A prune removes only subtrees that
+    hold no cycle, so it never changes which cycle is found first.  Returns
+    the cycle as vertex numbers from the anchor, or None.  The search
+    recurses once per cycle vertex, so a ``bound`` above
+    :data:`MAX_ORACLE_BOUND` raises SizeBoundExceeded before it starts.
     """
     if bound > MAX_ORACLE_BOUND:
         raise SizeBoundExceeded(
@@ -610,6 +613,9 @@ def brute_force_hamiltonian_mask(
         return None
     start = vertices & -vertices
     path = [start.bit_length() - 1]
+    closing = adjacency[path[0]]
+    if (closing & vertices).bit_count() < 2:
+        return None
 
     def reachable(cur: int, free: int) -> bool:
         seen = 1 << cur
@@ -635,6 +641,8 @@ def brute_force_hamiltonian_mask(
         if visited == vertices:
             return bool(adjacency[cur] & start)
         free = vertices & ~visited
+        if not closing & free:
+            return False
         avail = free | (1 << cur) | start
         f = free & touched
         while f:

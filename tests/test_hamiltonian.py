@@ -15,7 +15,9 @@ from supergrid import (
     ExtensionStep,
     PreconditionViolated,
     SizeBoundExceeded,
+    bitboard,
     brute_force_hamiltonian,
+    classify,
     extend_cycle,
     extension_steps,
     find_hamiltonian_cycle,
@@ -23,10 +25,16 @@ from supergrid import (
     seed_cycle,
     validate_cycle,
 )
+from supergrid.cli import run_cli
 from supergrid.hamiltonian import MAX_ORACLE_BOUND
 from supergrid.verification import mask_to_graph
 
 from conftest import P, block, disc, oracle_adjacent, oracle_cycle_valid, pts
+
+
+def lattice(*rows: str):
+    """The graph of the ``#`` cells of lattice rows, top row at y = 0."""
+    return from_points(P(x, y) for y, row in enumerate(rows) for x, c in enumerate(row) if c == "#")
 
 
 # ---------------------------------------------------------------- seeding --
@@ -316,6 +324,31 @@ def test_pivot_diversion_attaches_offcycle_pivot():
     assert P(0, 2) in r.cycle.vertex_set()
 
 
+def test_pivot_diversion_decides_two_reversed_permissive_5x5_solves():
+    # Usually the diverted pivot is itself a frontier vertex that a later
+    # step attaches the same way, so switching the diversion off changes
+    # nothing; among 6,000 seeded 2-connected 5x5 masks only these two solves
+    # (permissive, reversed frontier) come out differently without it.
+    def rules(r):
+        return tuple(r.trace.rule_counts()[rule.value] for rule in ExtensionRule)
+
+    stuck = mask_to_graph(28237787, 5)
+    assert stuck == lattice("##.##", ".####", "###.#", "#.###", ".#.##")
+    r = find_hamiltonian_cycle(stuck, strict=False, reverse_frontier=True)
+    assert r.status == "extension_failed"
+    assert rules(r) == (14, 1, 0, 0)  # 13/2/0/0 without the diversion
+
+    solved = mask_to_graph(24042959, 5)
+    assert solved == lattice("####.", ".###.", "###.#", "#.###", ".##.#")
+    r = find_hamiltonian_cycle(solved, strict=False, reverse_frontier=True)
+    assert r.status == "cycle"
+    assert rules(r) == (13, 1, 1, 0)
+    assert r.cycle.verts == tuple(pts(
+        (3, 1), (2, 2), (2, 1), (3, 0), (2, 0), (1, 0), (0, 0), (1, 1), (0, 2),
+        (0, 3), (1, 2), (2, 3), (1, 4), (2, 4), (3, 3), (4, 4), (4, 3), (4, 2),
+    ))
+
+
 def test_permissive_outputs_always_validate():
     # Fuzz over arbitrary 2-connected subsets (convex or not): every cycle
     # outcome must validate, every stuck witness must be a real stuck state.
@@ -402,3 +435,30 @@ def test_solver_agrees_with_oracle_on_sample():
             assert oracle is not None
         if r.status == "no_cycle" and r.failed_predicate == "two_connected":
             assert oracle is None
+
+
+def test_5x5_diamond_is_two_connected_but_not_hamiltonian(tmp_path, capsys):
+    # A 3x3 grid turned 45 degrees: bipartite with sides of 5 and 4, so no
+    # Hamiltonian cycle (compare Itai, Papadimitriou and Szwarcfiter 1982).
+    # Every 2-connected subset of a 4x4 box is Hamiltonian; this is the
+    # smallest witness that linear convexity is needed from 5x5 on.
+    rows = ("..#..", ".#.#.", "#.#.#", ".#.#.", "..#..")
+    g = lattice(*rows)
+    assert len(g) == 9
+    report = classify(g)
+    assert (report.two_connected, report.linear_convex, report.locally_connected) == (True, False, False)
+    box = bitboard.box(5, 5)
+    mask = sum(1 << (v.y * 5 + v.x) for v in g.vertices)
+    assert box.is_two_connected(mask)
+    assert not box.is_linear_convex(mask)
+    assert not box.is_locally_connected(mask)
+
+    assert brute_force_hamiltonian(g) is None
+    path = tmp_path / "diamond.txt"
+    path.write_text("\n".join(rows) + "\n")
+    assert run_cli(["oracle", str(path)]) == 2
+    assert capsys.readouterr().out == "none\n"
+    assert run_cli(["hamcycle", str(path), "--strict"]) == 2
+    assert "linear_convex fails" in capsys.readouterr().err
+
+    assert find_hamiltonian_cycle(g, strict=False).status == "extension_failed"
