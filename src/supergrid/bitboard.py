@@ -9,12 +9,10 @@ order is the (y, x) vertex order used everywhere else in the library.  A
   antidiagonal) holding at least three cells, since shorter lines cannot
   have a gap; each is a run of bits at stride 1, W, W+1 or W-1 cut to the
   box, built arithmetically in O(W*H/64) words per line;
-* ``neighbours[i]``: the king-move neighbour mask of cell i;
-* ``direction_bits[i]``: the bit of cell i's neighbour in each
-  :class:`~supergrid.grid.Direction` (UL..DR), or 0 off the box.
+* ``neighbours[i]``: the king-move neighbour mask of cell i.
 
-The per-cell tables take W*H bits per cell, so they are built on first use,
-by the oracle or local connectivity; ``lines`` grows linearly with the box.
+``neighbours`` takes W*H bits per cell, so it is built on first use, by the
+oracle only; ``lines`` grows linearly with the box.
 
 Connectivity is a flood fill by king-move dilation, done with shifts and
 column masks over the whole board; the same dilation gives the fringe of a
@@ -61,7 +59,7 @@ class Box:
 
     # Slots, not cached_property: an instance __dict__ slows the predicates' attribute loads.
     __slots__ = ("width", "height", "full", "_not_first_col", "_not_last_col",
-                 "lines", "_direction_bits", "_neighbours")
+                 "lines", "_neighbours")
 
     def __init__(self, width: int, height: int):
         self.width = width
@@ -82,23 +80,14 @@ class Box:
             runs.append(((a - x1) * width + x1, width - 1, x1 - max(0, a - height + 1) + 1))
         # Bits b, b + s, ..., b + (n - 1) s form a geometric series.
         self.lines = tuple(((1 << s * n) - 1) // ((1 << s) - 1) << b for b, s, n in runs if n >= 3)
-        self._direction_bits = self._neighbours = None
-
-    @property
-    def direction_bits(self) -> tuple[tuple[int, ...], ...]:
-        if self._direction_bits is None:
-            width, height = self.width, self.height
-            self._direction_bits = tuple(
-                tuple(1 << ((y + dy) * width + x + dx) if 0 <= x + dx < width
-                      and 0 <= y + dy < height else 0 for dx, dy in OFFSETS)
-                for y in range(height) for x in range(width)
-            )
-        return self._direction_bits
+        self._neighbours = None
 
     @property
     def neighbours(self) -> tuple[int, ...]:
         if self._neighbours is None:
-            self._neighbours = tuple(sum(bits) for bits in self.direction_bits)
+            full = self.full
+            self._neighbours = tuple(self.dilate(1 << i, full) ^ (1 << i)
+                                     for i in range(self.width * self.height))
         return self._neighbours
 
     def dilate(self, mask: int, within: int) -> int:
@@ -158,9 +147,12 @@ class Box:
 
     def pattern(self, mask: int, i: int) -> int:
         """8-bit neighbourhood of cell i in the subset, bit d for Direction d."""
+        width, x = self.width, i % self.width
         out = 0
-        for d, b in enumerate(self.direction_bits[i]):
-            if mask & b:
+        for d, (dx, dy) in enumerate(OFFSETS):
+            # Bits below 0 are no cells; bits past a row's ends are another row's.
+            j = i + dy * width + dx
+            if j >= 0 and 0 <= x + dx < width and mask >> j & 1:
                 out |= 1 << d
         return out
 

@@ -21,8 +21,9 @@ CLAIM1_REWIRE      for the chosen frontier vertex x and an anchor u1 on the
 CLAIM2_REWIRE      the same pivot-guided reattachment when no pivot adjacent
                    to x exists (z is non-adjacent to x); covers the remaining
                    configurations, including the downward-pivot substitutions.
-FALLBACK_SEARCH    bounded 3-opt-style search: insert x after up to two
-                   segment reversals (O(k^3) per attempt).  A strictly wider
+FALLBACK_SEARCH    bounded 3-opt-style search: insert x after one segment
+                   reversal, else after two reversals of segments with at
+                   least 2 vertices each (O(k^3) per attempt).  A strictly wider
                    net kept as a safety valve; the theory predicts it never
                    fires on 2-connected linear-convex inputs, and the
                    exhaustive suites verify that it does not.
@@ -181,33 +182,12 @@ def _seed_triangle(g: SupergridGraph, table: VertexTable | None = None) -> Cycle
     return None
 
 
-def _arcs_after_cuts(verts: tuple[Point, ...], pivot_indices: list[int]) -> list[tuple[Point, ...]]:
-    """Split the cycle at every edge incident to a pivot position.
-
-    Cutting the edge slots {i-1, i} for each pivot index i partitions the
-    cycle into arcs; arcs are returned in traversal order starting from the
-    arc that begins right after the last cut before position 0.
-    """
-    k = len(verts)
-    slots: set[int] = set()
-    for i in pivot_indices:
-        slots.add((i - 1) % k)
-        slots.add(i % k)
-    ordered = sorted(slots)
-    arcs = []
-    for a, b in zip(ordered, ordered[1:] + [ordered[0] + k]):
-        arc = tuple(verts[(a + 1 + m) % k] for m in range(b - a))
-        arcs.append(arc)
-    return arcs
-
-
 def _assemble(pieces: list[tuple[Point, ...]]) -> Cycle | None:
     """First cyclic arrangement of all pieces whose junctions are all edges.
 
     pieces[0] is the fixed start (orientation pinned); every other piece may
     be flipped.  Depth-first, deterministic order, adjacency-pruned.
     """
-    total = sum(len(p) for p in pieces)
     start = pieces[0]
     rest = pieces[1:]
     used = [False] * len(rest)
@@ -231,20 +211,20 @@ def _assemble(pieces: list[tuple[Point, ...]]) -> Cycle | None:
         return False
 
     if extend(start[-1], len(rest)):
-        flat = tuple(p for piece in sequence for p in piece)
-        if len(flat) == total:
-            return Cycle(flat)
+        return Cycle(tuple(p for piece in sequence for p in piece))
     return None
 
 
 def _pivot_reassemble(verts: tuple[Point, ...], x: Point, pivot_indices: list[int]) -> Cycle | None:
-    """Cut at pivot-incident edges, then weave the arcs and x back together."""
-    arcs = _arcs_after_cuts(verts, pivot_indices)
-    # The anchor u1 sits at index 0 with both its edges cut, so some arc is
-    # exactly (u1,); fix it first to pin rotation and keep the search small.
-    anchor_pos = next(i for i, arc in enumerate(arcs) if arc == (verts[0],))
-    pieces = [arcs[anchor_pos]] + arcs[anchor_pos + 1 :] + arcs[:anchor_pos] + [(x,)]
-    return _assemble(pieces)
+    """Cut both edges at every pivot index, then weave the arcs and x back together.
+
+    Pivot 0 is the anchor u1, so (u1,) is the arc across the wrap; it goes
+    first to pin rotation and keep the search small.
+    """
+    k = len(verts)
+    cuts = sorted({s % k for i in pivot_indices for s in (i - 1, i)})
+    arcs = [verts[a + 1 : b + 1] for a, b in zip(cuts, cuts[1:])]
+    return _assemble([verts[:1], *arcs, (x,)])
 
 
 def _claim_rewire(
@@ -257,9 +237,8 @@ def _claim_rewire(
     verts = c.verts
     k = len(verts)
     on_cycle = c.vertex_set()
-    position = {v: i for i, v in enumerate(verts)}
     x_nbrs = frozenset(neighbors(g, x))
-    anchors = [v for v in verts if v in x_nbrs]
+    anchors = [i for i, v in enumerate(verts) if v in x_nbrs]
 
     def pivots() -> Iterator[tuple[Point, tuple[Point, ...], Point]]:
         """(u1, the cycle rotated to start at u1, z) for every pivot z on the cycle.
@@ -268,9 +247,9 @@ def _claim_rewire(
         u1, which a failed DIRECT_INSERT pass over every frontier vertex
         rules out.
         """
-        for u1 in anchors:
-            rot = verts[position[u1]:] + verts[: position[u1]]
-            u2, uk = rot[1], rot[-1]
+        for i in anchors:
+            rot = verts[i:] + verts[:i]
+            u1, u2, uk = rot[0], rot[1], rot[-1]
             cands = [w for dx, dy in _PIVOT_OFFSETS
                      if (w := Point(u1.x + dx, u1.y + dy)) in on_cycle and w != u2 and w != uk
                      and (adjacent(w, u2) or adjacent(w, uk))]
@@ -322,10 +301,11 @@ def _fallback_search(g: SupergridGraph, c: Cycle, x: Point) -> tuple[Cycle, Exte
             for j in range(i + 1, k):
                 if adjacent(verts[i], verts[j]) and adjacent(verts[i + 1], verts[(j + 1) % k]):
                     yield verts[: i + 1] + verts[i + 1 : j + 1][::-1] + verts[j + 1 :]
-        # Two adjacent-segment reversals: O(k^3) variants.
+        # Two reversals of segments of at least 2 vertices each (a one-vertex
+        # segment leaves a one-reversal variant, scanned above): O(k^3) variants.
         for i in range(k - 2):
-            for j in range(i + 1, k - 1):
-                for m in range(j + 1, k):
+            for j in range(i + 2, k - 1):
+                for m in range(j + 2, k):
                     if (adjacent(verts[i], verts[j]) and adjacent(verts[i + 1], verts[m])
                             and adjacent(verts[j + 1], verts[(m + 1) % k])):
                         yield (verts[: i + 1] + verts[i + 1 : j + 1][::-1]
@@ -513,6 +493,8 @@ def extension_steps(
     """Extend to full coverage on one engine, yielding after every step.
 
     c is validated against g first (ValueError), also when it is as long as g.
+    Each step yields a whole ``Cycle``, built and checked in O(V), so running
+    to full coverage is Θ(V²); large graphs should use find_hamiltonian_cycle.
     """
     if not validate_cycle(g, c):
         raise ValueError("c is not a valid cycle of the host graph")

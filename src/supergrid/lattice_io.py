@@ -22,6 +22,11 @@ from .grid import Point, SupergridGraph
 from .hamiltonian import ExtensionStep, ExtensionTrace
 
 
+def _rows(text: str) -> list[str]:
+    """Rows ending at ``\\n``, ``\\r\\n`` or ``\\r`` only, unlike ``str.splitlines``."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def parse_lattice(text: str) -> SupergridGraph:
     """Read lattice text into a graph; empty documents give the empty graph.
 
@@ -30,7 +35,7 @@ def parse_lattice(text: str) -> SupergridGraph:
     """
     points = []
     y = 0
-    for line_no, line in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n")):
+    for line_no, line in enumerate(_rows(text)):
         if line.startswith(";"):
             continue
         for x, ch in enumerate(line):
@@ -63,9 +68,9 @@ def write_cycle(c: Cycle) -> str:
 
 
 def parse_cycle(text: str) -> Cycle:
-    """Inverse of write_cycle; raises CycleFormatError on malformed input."""
+    """Inverse of write_cycle, rows as in lattice text; CycleFormatError on malformed input."""
     points = []
-    for line_no, raw in enumerate(text.splitlines()):
+    for line_no, raw in enumerate(_rows(text)):
         line = raw.strip()
         if not line:
             continue

@@ -154,17 +154,29 @@ def test_closure_matches_point_closure_on_4x4_universe():
     assert grew > 30000
 
 
-def test_random_graph_on_a_large_box_keeps_tables_linear():
-    # Per-cell neighbour tables would take O((W*H)**2) bits, about 170 MB
-    # here; growing on the line masks alone peaks near 1.3 MB.
+def _random_graph_peak(require: set[str]):
+    """A seeded 128x128 random_graph and its tracemalloc peak, box tables built afresh."""
     bitboard.box.cache_clear()
-    spec = EnumSpec(128, 128, min_vertices=10,
-                    require=frozenset({"two_connected", "linear_convex"}), seed=0)
     tracemalloc.start()
     try:
-        g = random_graph(spec)
+        g = random_graph(EnumSpec(128, 128, min_vertices=10, require=frozenset(require), seed=0))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(g) >= 10 and is_two_connected(g) and is_linear_convex(g)
+    return g, peak
+
+
+def test_random_graph_on_a_large_box_keeps_tables_linear():
+    # Per-cell neighbour tables would take O((W*H)**2) bits, about 170 MB
+    # here; growing on the line masks alone peaks near 1.3 MB.
+    _, peak = _random_graph_peak({"two_connected", "linear_convex"})
+    assert peak < 10 * 2**20, peak
+
+
+def test_local_connectivity_on_a_large_box_keeps_tables_linear():
+    # Local connectivity reads each vertex's 8 neighbour bits off the mask;
+    # a per-cell table of neighbour bits peaked at 141.7 MiB here.
+    g, peak = _random_graph_peak({"two_connected", "linear_convex", "locally_connected"})
+    assert is_locally_connected(g)
     assert peak < 10 * 2**20, peak

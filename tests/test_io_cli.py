@@ -122,6 +122,14 @@ def test_cycle_round_trip_random():
         count += 1
 
 
+def test_parse_cycle_rows_break_only_at_newlines():
+    assert parse_cycle("0,0\r\n1,0\r1,1\n") == Cycle(pts((0, 0), (1, 0), (1, 1)))
+    # str.splitlines would also break at these and read a 3-cycle.
+    for sep in ("\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"):
+        with pytest.raises(CycleFormatError):
+            parse_cycle(f"0,0{sep}1,0{sep}1,1")
+
+
 def test_parse_cycle_rejects_garbage():
     with pytest.raises(CycleFormatError):
         parse_cycle("0,0\nnope\n")
