@@ -68,7 +68,7 @@ def _cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _report_solver_outcome(result, args) -> int:
+def _report_solver_outcome(result) -> int:
     if result.status == "no_cycle":
         print(f"no cycle: {result.failed_predicate} fails", file=sys.stderr)
         return EXIT_NO_CYCLE
@@ -89,7 +89,7 @@ def _cmd_hamcycle(args) -> int:
     if args.trace and result.trace is not None:
         with open(args.trace, "w", encoding="utf-8") as handle:
             handle.write(trace_to_jsonl(result.trace))
-    code = _report_solver_outcome(result, args)
+    code = _report_solver_outcome(result)
     if code == EXIT_OK:
         sys.stdout.write(write_cycle(result.cycle))
     return code
@@ -155,7 +155,7 @@ def _cmd_trace(args) -> int:
         raise SupergridError(f"--cell must be >= 1, got {args.cell}")
     g = _read_graph(args.file)
     result = find_hamiltonian_cycle(g, strict=not args.permissive)
-    code = _report_solver_outcome(result, args)
+    code = _report_solver_outcome(result)
     if code != EXIT_OK:
         return code
     svg = export_svg(result.cycle, args.cell)
@@ -232,10 +232,7 @@ def run_cli(argv: list[str]) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_ERROR
     try:
         return args.func(args)
-    except SupergridError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
+    except (SupergridError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

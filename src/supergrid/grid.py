@@ -66,19 +66,8 @@ class Direction(Enum):
         return self.value[1]
 
     def opposite(self) -> "Direction":
-        return _OPPOSITE[self]
+        return Direction((-self.dx, -self.dy))
 
-
-_OPPOSITE = {
-    Direction.UL: Direction.DR,
-    Direction.U: Direction.D,
-    Direction.UR: Direction.DL,
-    Direction.L: Direction.R,
-    Direction.R: Direction.L,
-    Direction.DL: Direction.UR,
-    Direction.D: Direction.U,
-    Direction.DR: Direction.UL,
-}
 
 # Offset tuples in Direction order; used by hot loops to avoid enum overhead.
 OFFSETS: tuple[tuple[int, int], ...] = tuple(d.value for d in Direction)

@@ -31,9 +31,10 @@ FALLBACK_SEARCH    bounded 3-opt-style search: insert x after one segment
 
 Pivot candidates follow a fixed priority: candidates adjacent to x first, and
 within each class the compass order L, R, U, D, UL, UR, DL, DR (L before R is
-a documented tie-break).  When a wanted second pivot is adjacent to x and z
-but lies off the cycle, the step attaches that pivot instead of x through the
-same machinery (bounded diversion); the trace records what was attached.
+a documented tie-break, and the rule-level differential test pins the order).
+When a wanted second pivot is adjacent to x and z but lies off the cycle, the
+step attaches that pivot instead of x through the same machinery (bounded
+diversion); the trace records what was attached.
 
 DIRECT_INSERT picks the first frontier vertex in frontier order ((y, x),
 reversed on demand) that has an insertable edge, and on it the edge whose
@@ -70,19 +71,10 @@ from .errors import (
     PreconditionViolated,
     SizeBoundExceeded,
 )
-from .grid import Point, SupergridGraph, VertexTable, adjacent, neighbors, vertex_ids
+from .grid import Direction, Point, SupergridGraph, VertexTable, adjacent, neighbors, vertex_ids
 
 # Compass order for pivot candidates around the anchor.
-_PIVOT_OFFSETS: tuple[tuple[int, int], ...] = (
-    (-1, 0),   # L
-    (1, 0),    # R
-    (0, -1),   # U
-    (0, 1),    # D
-    (-1, -1),  # UL
-    (1, -1),   # UR
-    (-1, 1),   # DL
-    (1, 1),    # DR
-)
+_PIVOT_OFFSETS = tuple(Direction[name].value for name in "L R U D UL UR DL DR".split())
 
 _DIVERSION_DEPTH = 4
 

@@ -9,13 +9,19 @@ the writer translates the bounding-box corner to the origin.
 SVG export renders a cycle as one closed polygon, y growing downward exactly
 as in the lattice, so exported sewing traces match the input orientation.
 Output bytes are deterministic for fixed inputs (integer arithmetic only).
+
+JSON reports and trace lines are the result dataclasses themselves: keys are
+their field names in declaration order, points are ``[x, y]`` and enums their
+values, so a new ``ExtensionStep`` field is a new JSONL key with no edit here.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import fields, is_dataclass
+from enum import Enum
 
-from .classify import ClassificationReport, ViolationWitness
+from .classify import ClassificationReport
 from .cycles import Cycle
 from .errors import CycleFormatError, InvalidCharacter
 from .grid import Point, SupergridGraph
@@ -114,51 +120,27 @@ def export_svg(c: Cycle, cell_size: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _point_json(p: Point | None) -> list[int] | None:
-    return None if p is None else [p.x, p.y]
-
-
-def _witness_json(w: ViolationWitness | None) -> dict | None:
-    if w is None:
-        return None
-    out: dict = {
-        "predicate": w.predicate,
-        "points": [_point_json(p) for p in w.points],
-        "missing": _point_json(w.missing),
-    }
-    out["line"] = (
-        None if w.line is None else {"direction": w.line.direction.value, "index": w.line.index}
-    )
-    return out
+def _plain(value):
+    """JSON-ready copy: Point [x, y], Enum value, tuple list, dataclass object by fields."""
+    if isinstance(value, Point):  # before the dataclass case: Point is one
+        return [value.x, value.y]
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return [_plain(item) for item in value]
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    return value
 
 
 def report_to_json(report: ClassificationReport) -> str:
-    """Flat JSON object with the report's exact field names."""
-    return json.dumps(
-        {
-            "vertex_count": report.vertex_count,
-            "connected": report.connected,
-            "two_connected": report.two_connected,
-            "linear_convex": report.linear_convex,
-            "locally_connected": report.locally_connected,
-            "violation_witness": _witness_json(report.violation_witness),
-        },
-        indent=2,
-    )
+    """The report as an indented JSON object, keyed by its field names."""
+    return json.dumps(_plain(report), indent=2)
 
 
 def step_to_json(step: ExtensionStep) -> str:
-    """One trace step as a single JSON line."""
-    return json.dumps(
-        {
-            "cycle_length_before": step.cycle_length_before,
-            "attached_vertex": _point_json(step.attached_vertex),
-            "rule": step.rule.value,
-            "anchor_u1": _point_json(step.anchor_u1),
-            "pivot_z": _point_json(step.pivot_z),
-            "pivot_y": _point_json(step.pivot_y),
-        }
-    )
+    """One trace step as a single JSON line, keyed by its field names."""
+    return json.dumps(_plain(step))
 
 
 def trace_to_jsonl(trace: ExtensionTrace) -> str:

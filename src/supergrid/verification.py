@@ -37,7 +37,7 @@ from .bitboard import mask_to_graph
 # perfbench/layers.py wraps these names on this module, hence the imports.
 from .classify import is_linear_convex, is_locally_connected, is_two_connected  # noqa: F401
 from .enumeration import EXHAUSTIVE_CELL_CAP, box_masks, enumerate_graphs  # noqa: F401
-from .grid import Point, SupergridGraph
+from .grid import Direction, Point, SupergridGraph
 from .hamiltonian import (  # noqa: F401
     ExtensionRule,
     _seed_and_extend,
@@ -46,11 +46,10 @@ from .hamiltonian import (  # noqa: F401
     find_hamiltonian_cycle,
 )
 
-_FORCED_VERTEX_PATTERNS = (
-    ((-1, -1), (1, -1), (0, -1)),  # UL and UR force U
-    ((-1, -1), (-1, 1), (-1, 0)),  # UL and DL force L
-    ((1, -1), (1, 1), (1, 0)),     # UR and DR force R
-    ((-1, 1), (1, 1), (0, 1)),     # DL and DR force D
+# Two opposite corner neighbours force the side neighbour between them.
+_FORCED_VERTEX_PATTERNS = tuple(
+    tuple(Direction[name].value for name in pattern.split())
+    for pattern in ("UL UR U", "UL DL L", "UR DR R", "DL DR D")
 )
 
 

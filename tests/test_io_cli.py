@@ -20,6 +20,7 @@ from supergrid import (
     from_points,
     validate_cycle,
 )
+from supergrid.bitboard import mask_to_graph
 from supergrid.cli import run_cli
 from supergrid.lattice_io import (
     parse_cycle,
@@ -232,6 +233,39 @@ def test_cli_hamcycle_trace_file(tmp_path, capsys):
     lines = out_path.read_text().splitlines()
     assert len(lines) == 6
     json.loads(lines[0])
+
+
+# JSON bytes captured before the serializer was derived from the result
+# dataclasses; the key checks above would pass a reordered or renamed field.
+def _golden_bytes(name: str) -> bytes:
+    with open(os.path.join(GOLDEN, name), "rb") as handle:
+        return handle.read()
+
+
+@pytest.mark.parametrize("name, lattice", [
+    ("gap", None),         # linear-convexity witness with a line
+    ("path1x3", "###\n"),  # local-connectivity witness, "line": null
+    ("block3x3", None),    # "violation_witness": null
+])
+def test_cli_classify_json_golden(tmp_path, capsys, name, lattice):
+    path = fixture(f"{name}.txt")
+    if lattice is not None:
+        path = tmp_path / f"{name}.txt"
+        path.write_text(lattice)
+    assert run_cli(["classify", str(path)]) == 0
+    assert capsys.readouterr().out.encode() == _golden_bytes(f"classify_{name}.json")
+
+
+@pytest.mark.parametrize("mask", [
+    12022,  # CLAIM2_REWIRE with a pivot_y
+    20159,  # CLAIM1_REWIRE with a pivot_z, then FALLBACK_SEARCH
+])
+def test_cli_permissive_trace_jsonl_golden(tmp_path, capsys, mask):
+    lattice, out = tmp_path / "graph.txt", tmp_path / "trace.jsonl"
+    lattice.write_text(render_lattice(mask_to_graph(mask, 4)))
+    assert run_cli(["hamcycle", str(lattice), "--permissive", "--trace", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == _golden_bytes(f"hamcycle_permissive_4x4_{mask}.jsonl")
 
 
 def test_cli_hamcycle_output_revalidates(capsys):
