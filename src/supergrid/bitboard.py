@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import functools
 
-from .grid import OFFSETS, Point, SupergridGraph
+from .grid import FORCED_VERTEX_PATTERNS, OFFSETS, Point, SupergridGraph
 
 
 @functools.lru_cache(maxsize=4096)
@@ -170,38 +170,27 @@ class Box:
     def forced_vertex_violations(self, mask: int) -> list[tuple[int, int]]:
         """(vertex, missing forced neighbour) cell pairs, as in verification.
 
-        For each missing cell c the four patterns are: c's left and right
-        members with c's lower (U of vertex c + width) or upper (D of vertex
-        c - width) neighbour present, and c's upper and lower members with
-        c's right (L of vertex c + 1) or left (R of vertex c - 1) present.
-        Pairs are listed by vertex, then in the pattern order U, L, R, D.
+        Each of :data:`~supergrid.grid.FORCED_VERTEX_PATTERNS` (a, b, c) flags
+        the members whose a and b neighbours are in the subset and whose c
+        neighbour is not.  Pairs are sorted, which lists them by vertex and
+        then in pattern order, as the c cells U, L, R, D ascend.
         """
         width = self.width
-        absent = self.full & ~mask
-        left_in = (mask << 1) & self._not_first_col
-        right_in = (mask >> 1) & self._not_last_col
-        up_in = (mask << width) & self.full
-        down_in = mask >> width
-        horizontal = absent & left_in & right_in
-        vertical = absent & up_in & down_in
-        shifted = (
-            ((horizontal & down_in) << width, width),  # UL and UR force U
-            ((vertical & right_in) << 1, 1),           # UL and DL force L
-            ((vertical & left_in) >> 1, -1),           # UR and DR force R
-            ((horizontal & up_in) >> width, -width),   # DL and DR force D
-        )
-        vertices = 0
-        for v_mask, _ in shifted:
-            vertices |= v_mask
+        # Shifting by dx = +-1 wraps row ends onto the next row; the column masks drop those.
+        cols = {-1: self._not_first_col, 0: self.full, 1: self._not_last_col}
+        near = {}  # (dx, dy) -> cells whose (dx, dy) neighbour is in the subset
+        for dx, dy in OFFSETS:
+            shift = dy * width + dx
+            near[dx, dy] = (mask >> shift if shift >= 0 else mask << -shift) & cols[dx]
         out = []
-        while vertices:
-            low = vertices & -vertices
-            vertices ^= low
-            v = low.bit_length() - 1
-            for v_mask, offset in shifted:
-                if v_mask & low:
-                    out.append((v, v - offset))
-        return out
+        for a, b, (cx, cy) in FORCED_VERTEX_PATTERNS:
+            flagged = mask & near[a] & near[b] & ~near[cx, cy]
+            while flagged:
+                low = flagged & -flagged
+                flagged ^= low
+                v = low.bit_length() - 1
+                out.append((v, v + cy * width + cx))
+        return sorted(out)
 
 
 @functools.lru_cache(maxsize=32)

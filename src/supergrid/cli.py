@@ -17,8 +17,9 @@ import sys
 
 from .classify import classify
 from .enumeration import PREDICATES, EnumSpec, enumerate_graphs
-from .errors import SizeBoundExceeded, SupergridError
-from .hamiltonian import ExtensionRule, brute_force_hamiltonian, find_hamiltonian_cycle
+from .errors import SupergridError
+from .grid import MAX_COORD
+from .hamiltonian import ExtensionTrace, brute_force_hamiltonian, find_hamiltonian_cycle
 from .lattice_io import (
     export_svg,
     parse_lattice,
@@ -97,10 +98,7 @@ def _cmd_hamcycle(args) -> int:
 
 def _cmd_oracle(args) -> int:
     g = _read_graph(args.file)
-    try:
-        cycle = brute_force_hamiltonian(g, bound=args.bound)
-    except SizeBoundExceeded as exc:
-        raise SupergridError(str(exc)) from exc
+    cycle = brute_force_hamiltonian(g, bound=args.bound)
     if cycle is None:
         print("none")
         return EXIT_NO_CYCLE
@@ -122,7 +120,7 @@ def _cmd_enumerate(args) -> int:
         dedup_symmetry=args.dedup,
     )
     totals = dict.fromkeys(PREDICATES, 0)
-    rules = dict.fromkeys((rule.value for rule in ExtensionRule), 0)
+    rules = ExtensionTrace().rule_counts()
     count = hamiltonian_found = 0
     for g in enumerate_graphs(spec):
         count += 1
@@ -153,6 +151,8 @@ def _cmd_enumerate(args) -> int:
 def _cmd_trace(args) -> int:
     if args.cell < 1:
         raise SupergridError(f"--cell must be >= 1, got {args.cell}")
+    if args.cell > MAX_COORD:  # the value itself may be too long to print
+        raise SupergridError(f"--cell must be <= {MAX_COORD}")
     g = _read_graph(args.file)
     result = find_hamiltonian_cycle(g, strict=not args.permissive)
     code = _report_solver_outcome(result)

@@ -24,6 +24,15 @@ from .errors import (
 from .grid import Point, SupergridGraph, adjacent
 
 
+def _check_walk(verts: tuple[Point, ...], kind: str) -> None:
+    """ValueError unless the vertices are distinct and consecutive ones adjacent."""
+    if len(set(verts)) != len(verts):
+        raise ValueError(f"{kind} vertices must be distinct")
+    for u, v in zip(verts, verts[1:]):
+        if not adjacent(u, v):
+            raise ValueError(f"non-adjacent consecutive pair {u}, {v}")
+
+
 @dataclass(frozen=True)
 class PathSeq:
     """Simple path: distinct vertices, consecutive pairs adjacent."""
@@ -34,11 +43,7 @@ class PathSeq:
         object.__setattr__(self, "verts", tuple(self.verts))
         if not self.verts:
             raise ValueError("a path has at least one vertex")
-        if len(set(self.verts)) != len(self.verts):
-            raise ValueError("path vertices must be distinct")
-        for u, v in zip(self.verts, self.verts[1:]):
-            if not adjacent(u, v):
-                raise ValueError(f"non-adjacent consecutive pair {u}, {v}")
+        _check_walk(self.verts, "path")
 
     @property
     def start(self) -> Point:
@@ -62,11 +67,7 @@ class Cycle:
         object.__setattr__(self, "verts", tuple(self.verts))
         if len(self.verts) < 3:
             raise ValueError("a cycle has at least three vertices")
-        if len(set(self.verts)) != len(self.verts):
-            raise ValueError("cycle vertices must be distinct")
-        for u, v in zip(self.verts, self.verts[1:]):
-            if not adjacent(u, v):
-                raise ValueError(f"non-adjacent consecutive pair {u}, {v}")
+        _check_walk(self.verts, "cycle")
         if not adjacent(self.verts[-1], self.verts[0]):
             raise ValueError("closing pair is non-adjacent")
 
@@ -108,17 +109,19 @@ def validate_cycle(g: SupergridGraph, verts: Sequence[Point] | Cycle) -> bool:
 
     Accepts arbitrary sequences (not just Cycle values) and never raises:
     it is the boolean oracle the merge operations and the extension engine
-    re-check their outputs against.
+    re-check their outputs against.  A Cycle holds its invariants already,
+    so only its membership in g is checked.
     """
     if isinstance(verts, Cycle):
-        seq: Sequence[Point] = verts.verts
-    else:
-        seq = tuple(verts)
-    if len(seq) < 3 or len(set(seq)) != len(seq):
+        return g.vertices.issuperset(verts.verts)
+    seq = tuple(verts)
+    if not g.vertices.issuperset(seq):
         return False
-    if any(v not in g for v in seq):
+    try:
+        Cycle(seq)
+    except ValueError:
         return False
-    return all(adjacent(seq[i], seq[(i + 1) % len(seq)]) for i in range(len(seq)))
+    return True
 
 
 def reverse_path(p: PathSeq) -> PathSeq:
@@ -140,8 +143,7 @@ def insert_vertex(g: SupergridGraph, c: Cycle, x: Point) -> Cycle:
         raise ValueError(f"{x} already lies on the cycle")
     for i, (u, v) in enumerate(c.edges()):
         if adjacent(u, x) and adjacent(v, x):
-            out = Cycle(c.verts[: i + 1] + (x,) + c.verts[i + 1 :])
-            return out
+            return Cycle(c.verts[: i + 1] + (x,) + c.verts[i + 1 :])
     raise NoInsertionEdge(f"no cycle edge can absorb {x}")
 
 

@@ -72,6 +72,13 @@ class Direction(Enum):
 # Offset tuples in Direction order; used by hot loops to avoid enum overhead.
 OFFSETS: tuple[tuple[int, int], ...] = tuple(d.value for d in Direction)
 
+# Offsets (a, b, c): in a linearly convex graph, a vertex's two opposite corner
+# neighbours a and b force the side neighbour c between them.
+FORCED_VERTEX_PATTERNS: tuple[tuple[tuple[int, int], ...], ...] = tuple(
+    tuple(Direction[name].value for name in pattern.split())
+    for pattern in ("UL UR U", "UL DL L", "UR DR R", "DL DR D")
+)
+
 
 def adjacent(u: Point, v: Point) -> bool:
     """True iff u and v are distinct and differ by at most 1 in x and in y."""
@@ -83,11 +90,10 @@ def adjacent(u: Point, v: Point) -> bool:
 class SupergridGraph:
     """Immutable finite vertex set with implicit 8-neighborhood adjacency."""
 
-    __slots__ = ("_vertices", "_bbox")
+    __slots__ = ("_vertices",)
 
     def __init__(self, vertices: Iterable[Point]):
         self._vertices = frozenset(vertices)
-        self._bbox: tuple[int, int, int, int] | None = None
 
     @property
     def vertices(self) -> frozenset[Point]:
@@ -121,11 +127,9 @@ class SupergridGraph:
         """(min_x, min_y, max_x, max_y), or None for the empty graph."""
         if not self._vertices:
             return None
-        if self._bbox is None:
-            xs = [p.x for p in self._vertices]
-            ys = [p.y for p in self._vertices]
-            self._bbox = (min(xs), min(ys), max(xs), max(ys))
-        return self._bbox
+        xs = [p.x for p in self._vertices]
+        ys = [p.y for p in self._vertices]
+        return (min(xs), min(ys), max(xs), max(ys))
 
     def degree(self, v: Point) -> int:
         return len(neighbors(self, v))

@@ -10,9 +10,10 @@ SVG export renders a cycle as one closed polygon, y growing downward exactly
 as in the lattice, so exported sewing traces match the input orientation.
 Output bytes are deterministic for fixed inputs (integer arithmetic only).
 
-JSON reports and trace lines are the result dataclasses themselves: keys are
-their field names in declaration order, points are ``[x, y]`` and enums their
-values, so a new ``ExtensionStep`` field is a new JSONL key with no edit here.
+JSON reports and trace lines are the result dataclasses, written by the
+standard encoder with one ``default`` hook: keys are field names in declaration
+order, points are ``[x, y]`` and enums their values, so a new ``ExtensionStep``
+field is a new JSONL key with no edit here.
 """
 
 from __future__ import annotations
@@ -120,27 +121,28 @@ def export_svg(c: Cycle, cell_size: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _plain(value):
-    """JSON-ready copy: Point [x, y], Enum value, tuple list, dataclass object by fields."""
+def _json_default(value):
+    """Encoder hook: Point [x, y], Enum its value, dataclass an object by fields."""
     if isinstance(value, Point):  # before the dataclass case: Point is one
         return [value.x, value.y]
     if isinstance(value, Enum):
         return value.value
-    if isinstance(value, tuple):
-        return [_plain(item) for item in value]
     if is_dataclass(value):
-        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
-    return value
+        return {f.name: getattr(value, f.name) for f in fields(value)}
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+_ENCODER = json.JSONEncoder(default=_json_default)
 
 
 def report_to_json(report: ClassificationReport) -> str:
     """The report as an indented JSON object, keyed by its field names."""
-    return json.dumps(_plain(report), indent=2)
+    return json.dumps(report, indent=2, default=_json_default)
 
 
 def step_to_json(step: ExtensionStep) -> str:
     """One trace step as a single JSON line, keyed by its field names."""
-    return json.dumps(_plain(step))
+    return _ENCODER.encode(step)
 
 
 def trace_to_jsonl(trace: ExtensionTrace) -> str:

@@ -37,35 +37,24 @@ from .bitboard import mask_to_graph
 # perfbench/layers.py wraps these names on this module, hence the imports.
 from .classify import is_linear_convex, is_locally_connected, is_two_connected  # noqa: F401
 from .enumeration import EXHAUSTIVE_CELL_CAP, box_masks, enumerate_graphs  # noqa: F401
-from .grid import Direction, Point, SupergridGraph
+from .grid import FORCED_VERTEX_PATTERNS, Point, SupergridGraph
 from .hamiltonian import (  # noqa: F401
     ExtensionRule,
+    ExtensionTrace,
     _seed_and_extend,
     brute_force_hamiltonian,
     brute_force_hamiltonian_mask,
     find_hamiltonian_cycle,
 )
 
-# Two opposite corner neighbours force the side neighbour between them.
-_FORCED_VERTEX_PATTERNS = tuple(
-    tuple(Direction[name].value for name in pattern.split())
-    for pattern in ("UL UR U", "UL DL L", "UR DR R", "DL DR D")
-)
-
 
 def forced_vertex_violations(g: SupergridGraph) -> list[tuple[Point, Point]]:
     """Pairs (vertex, missing forced neighbor) violating the closure property."""
-    out = []
     verts = g.vertices
-    for v in g.sorted_vertices():
-        for (ax, ay), (bx, by), (cx, cy) in _FORCED_VERTEX_PATTERNS:
-            if (
-                Point(v.x + ax, v.y + ay) in verts
-                and Point(v.x + bx, v.y + by) in verts
-                and Point(v.x + cx, v.y + cy) not in verts
-            ):
-                out.append((v, Point(v.x + cx, v.y + cy)))
-    return out
+    return [(v, missing) for v in g.sorted_vertices()
+            for (ax, ay), (bx, by), (cx, cy) in FORCED_VERTEX_PATTERNS
+            if Point(v.x + ax, v.y + ay) in verts and Point(v.x + bx, v.y + by) in verts
+            and (missing := Point(v.x + cx, v.y + cy)) not in verts]
 
 
 @dataclass
@@ -84,9 +73,7 @@ class SuiteReport:
     growth_violations: list[int] = field(default_factory=list)
     oracle_mismatches: list[int] = field(default_factory=list)
     oracle_checked: int = 0
-    rule_counts: dict[str, int] = field(
-        default_factory=lambda: {rule.value: 0 for rule in ExtensionRule}
-    )
+    rule_counts: dict[str, int] = field(default_factory=lambda: ExtensionTrace().rule_counts())
 
     @property
     def fallback_fired(self) -> int:
@@ -130,17 +117,9 @@ def solve_with_growth_check(g: SupergridGraph) -> tuple[bool, bool, dict[str, in
     """
     result = _seed_and_extend(g)
     if result.status != "cycle":
-        return False, True, {rule.value: 0 for rule in ExtensionRule}
-    counts = result.trace.rule_counts()
-    expected = 3
-    monotone = True
-    for step in result.trace.steps:
-        if step.cycle_length_before != expected:
-            monotone = False
-        expected += 1
-    if expected != len(g):
-        monotone = False
-    return True, monotone, counts
+        return False, True, ExtensionTrace().rule_counts()
+    lengths = [step.cycle_length_before for step in result.trace.steps]
+    return True, lengths == list(range(3, len(g))), result.trace.rule_counts()
 
 
 def run_box_suite(width: int, height: int, oracle_limit: int = 12) -> SuiteReport:

@@ -95,14 +95,20 @@ def test_kernel_matches_point_predicates_on_oblong_boxes(width, height):
 
 
 def test_forced_vertex_patterns_match_point_checker_on_3x3_universe():
-    box = bitboard.box(3, 3)
-    flagged = 0
-    for mask in range(1 << 9):
-        expected = forced_vertex_violations(mask_to_graph(mask, 3))
-        got = [(cell_point(v, 3), cell_point(c, 3)) for v, c in box.forced_vertex_violations(mask)]
-        assert got == expected, mask
-        flagged += bool(expected)
-    assert flagged > 0
+    # Also every mask of larger and non-square boxes, where the kernel's
+    # column masks matter; counts of flagged masks are the Point checker's.
+    for (width, height), flagged_masks in {
+        (3, 3): 175, (4, 4): 43_326, (5, 3): 19_952, (3, 5): 19_952, (2, 6): 1_512, (1, 5): 0,
+    }.items():
+        box = bitboard.box(width, height)
+        flagged = 0
+        for mask in range(1 << (width * height)):
+            expected = forced_vertex_violations(mask_to_graph(mask, width))
+            got = [(cell_point(v, width), cell_point(c, width))
+                   for v, c in box.forced_vertex_violations(mask)]
+            assert got == expected, (width, height, mask)
+            flagged += bool(expected)
+        assert flagged == flagged_masks, (width, height)
 
 
 def _assert_same_oracle_answer(width: int, mask: int) -> None:

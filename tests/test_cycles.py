@@ -40,6 +40,10 @@ def test_validate_cycle_examples(block2):
     assert not validate_cycle(block2, pts((0, 0), (1, 0), (3, 0)))
     # membership in the host graph is part of validity
     assert not validate_cycle(block2, pts((0, 0), (1, 0), (1, 1), (2, 1)))
+    assert not validate_cycle(block2, Cycle(pts((1, 0), (2, 0), (1, 1))))
+    # non-Point members are not vertices: False, not an exception
+    assert not validate_cycle(block2, [1, 2, 3])
+    assert not validate_cycle(block2, [])
 
 
 def test_reverse_path_examples():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import random
@@ -200,6 +201,15 @@ def test_trace_jsonl_one_step_per_line(block3):
     assert isinstance(first["attached_vertex"], list)
 
 
+def test_trace_jsonl_bytes_at_scale():
+    # Digest captured from the serializer before the encoder hook replaced it:
+    # 4,093 strict steps on a 64x64 block, every rule field included.
+    data = trace_to_jsonl(find_hamiltonian_cycle(block(64, 64)).trace).encode()
+    assert len(data) == 573_407
+    assert hashlib.sha256(data).hexdigest() == (
+        "6cd61473a24c4912d22dd2f3d6c192466b7bdcc09658acb58d89b9415b4b581c")
+
+
 # -------------------------------------------------------------------- cli --
 
 
@@ -266,6 +276,18 @@ def test_cli_permissive_trace_jsonl_golden(tmp_path, capsys, mask):
     assert run_cli(["hamcycle", str(lattice), "--permissive", "--trace", str(out)]) == 0
     capsys.readouterr()
     assert out.read_bytes() == _golden_bytes(f"hamcycle_permissive_4x4_{mask}.jsonl")
+
+
+def test_cli_permissive_extension_failure_exits_3_with_witness(tmp_path, capsys):
+    # 4x4 mask 31615 is 2-connected but not linearly convex; the permissive
+    # solve gets stuck at (3,2) after a CLAIM1_REWIRE step.
+    lattice, out = tmp_path / "graph.txt", tmp_path / "trace.jsonl"
+    lattice.write_text("####\n###.\n##.#\n###.\n")
+    assert run_cli(["hamcycle", str(lattice), "--permissive", "--trace", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.encode() == _golden_bytes("hamcycle_permissive_4x4_31615.stderr")
+    assert out.read_bytes() == _golden_bytes("hamcycle_permissive_4x4_31615.jsonl")
 
 
 def test_cli_hamcycle_output_revalidates(capsys):
@@ -374,6 +396,19 @@ def test_cli_trace_nonpositive_cell_is_an_error_not_a_traceback(tmp_path):
     assert not out_svg.exists()
 
 
+def test_cli_trace_cell_above_coordinate_limit_is_an_error_not_a_traceback(tmp_path):
+    # A 4,300-digit cell size parses, but the SVG coordinates it scales to
+    # would exceed Python's integer-to-string digit limit.
+    out_svg, cell = tmp_path / "o.svg", "9" + "0" * 4299
+    proc = run_cli_process("trace", fixture("block2x2.txt"), "--svg", str(out_svg), "--cell", cell)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert "--cell" in proc.stderr
+    assert cell not in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out_svg.exists()
+
+
 def test_cli_oracle_bound_above_supported_depth_is_an_error_not_a_traceback():
     # The graph is tiny: the bound is rejected before any search starts.
     proc = run_cli_process("oracle", fixture("block3x3.txt"), "--bound", "2000")
@@ -401,7 +436,8 @@ CONTRACT_CASES = [
 ] + [
     ("oracle", "{good}", "--bound", bound) for bound in ("x", "-1", "2000")
 ] + [
-    ("trace", "{good}", "--svg", "{tmp}/out.svg", "--cell", cell) for cell in ("0", "-3", "x")
+    ("trace", "{good}", "--svg", "{tmp}/out.svg", "--cell", cell)
+    for cell in ("0", "-3", "x", "9" + "0" * 4299)
 ] + [
     ("enumerate", "--box", "2x2", "--min", "x"),
     ("verify", "--box", "2x2", "--oracle-limit", "x"),

@@ -3,14 +3,25 @@
 from __future__ import annotations
 
 import supergrid.hamiltonian
-from supergrid import from_points
+from supergrid import (
+    Cycle,
+    ExtensionRule,
+    ExtensionStep,
+    ExtensionTrace,
+    HamiltonianResult,
+    StuckWitness,
+    from_points,
+)
+from supergrid import verification
+from supergrid.cli import run_cli
 from supergrid.verification import (
     forced_vertex_violations,
     mask_to_graph,
     run_box_suite,
+    solve_with_growth_check,
 )
 
-from conftest import P, pts
+from conftest import P, block, pts
 
 
 def test_mask_to_graph_row_major():
@@ -53,3 +64,35 @@ def test_box_suite_has_teeth(monkeypatch):
     report = run_box_suite(3, 3, oracle_limit=0)
     assert report.solve_failures
     assert report.total_violations() > 0
+
+
+def _fake_solve(g, *args):
+    """A stuck solve on triangles; on larger graphs, a cycle whose one step skips a length."""
+    if len(g) == 3:
+        return HamiltonianResult(status="extension_failed", witness=StuckWitness(g, None, None))
+    verts = g.sorted_vertices()
+    step = ExtensionStep(len(g), verts[-1], ExtensionRule.DIRECT_INSERT, verts[0])
+    cycle = Cycle(pts((0, 0), (1, 0), (1, 1), (0, 1)))
+    return HamiltonianResult(status="cycle", cycle=cycle, trace=ExtensionTrace((step,)))
+
+
+def test_box_suite_reports_growth_violations_and_solve_failures(monkeypatch, capsys):
+    monkeypatch.setattr(verification, "_seed_and_extend", _fake_solve)
+    report = run_box_suite(2, 2, oracle_limit=0)
+    assert report.growth_violations == [0b1111]
+    assert report.solve_failures == [0b0111, 0b1011, 0b1101, 0b1110]
+    assert report.rule_counts["DIRECT_INSERT"] == 1
+    assert run_cli(["verify", "--box", "2x2"]) == 4
+    assert "violations: 5" in capsys.readouterr().out
+
+
+def test_growth_check_wants_one_step_per_length_from_3(monkeypatch):
+    g = block(2, 2)
+    found = _fake_solve(g)
+    step = found.trace.steps[0]
+    for lengths, monotone in (((3,), True), ((4,), False), ((), False), ((3, 4), False)):
+        steps = tuple(ExtensionStep(n, step.attached_vertex, step.rule, step.anchor_u1)
+                      for n in lengths)
+        result = HamiltonianResult(status="cycle", cycle=found.cycle, trace=ExtensionTrace(steps))
+        monkeypatch.setattr(verification, "_seed_and_extend", lambda g, *args: result)
+        assert solve_with_growth_check(g) == (True, monotone, result.trace.rule_counts())
