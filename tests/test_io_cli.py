@@ -202,8 +202,8 @@ def test_trace_jsonl_one_step_per_line(block3):
 
 
 def test_trace_jsonl_bytes_at_scale():
-    # Digest captured from the serializer before the encoder hook replaced it:
-    # 4,093 strict steps on a 64x64 block, every rule field included.
+    # Digest of the 4,093 strict steps on a 64x64 block, captured from the
+    # serializer the encoder hook replaced.
     data = trace_to_jsonl(find_hamiltonian_cycle(block(64, 64)).trace).encode()
     assert len(data) == 573_407
     assert hashlib.sha256(data).hexdigest() == (
