@@ -17,9 +17,11 @@ oracle only; ``lines`` grows linearly with the box.
 Connectivity is a flood fill by king-move dilation, done with shifts and
 column masks over the whole board; the same dilation gives the fringe of a
 subset.  The linear-convex closure fills each line between its lowest and
-highest member until no line changes.  Local connectivity, here and in
-:mod:`supergrid.classify`, reads a 256-entry table indexed by a vertex's 8-bit
-neighbourhood pattern.  The predicates follow that module's conventions.
+highest member until no line changes.  Local connectivity and forced vertices
+read one set of direction masks, per direction the cells whose neighbour that
+way is in the subset; local connectivity looks each vertex's 8-bit pattern up
+in the 256-entry table it shares with :mod:`supergrid.classify`.  The
+predicates follow that module's conventions.
 
 This is the fast path for box sweeps and seeded growth.  The ``Point``
 predicates in :mod:`supergrid.classify` remain the general-input API (sparse
@@ -145,25 +147,22 @@ class Box:
             if mask == before:
                 return mask
 
-    def pattern(self, mask: int, i: int) -> int:
-        """8-bit neighbourhood of cell i in the subset, bit d for Direction d."""
-        width, x = self.width, i % self.width
-        out = 0
-        for d, (dx, dy) in enumerate(OFFSETS):
-            # Bits below 0 are no cells; bits past a row's ends are another row's.
-            j = i + dy * width + dx
-            if j >= 0 and 0 <= x + dx < width and mask >> j & 1:
-                out |= 1 << d
-        return out
+    def _near(self, mask: int) -> tuple[int, ...]:
+        """Per Direction d, the cells whose d neighbour is in the subset."""
+        # Shifting by dx = +-1 wraps row ends onto the next row; the column masks drop those.
+        cols = {-1: self._not_first_col, 0: self.full, 1: self._not_last_col}
+        shifts = ((dy * self.width + dx, cols[dx]) for dx, dy in OFFSETS)
+        return tuple((mask >> s if s >= 0 else mask << -s) & col for s, col in shifts)
 
     def is_locally_connected(self, mask: int) -> bool:
         """True iff the induced neighbourhood of every vertex is connected."""
         table = local_table()
+        near = self._near(mask)
         m = mask
         while m:
             low = m & -m
             m ^= low
-            if not table[self.pattern(mask, low.bit_length() - 1)]:
+            if not table[sum(1 << d for d, cells in enumerate(near) if cells & low)]:
                 return False
         return True
 
@@ -175,13 +174,7 @@ class Box:
         neighbour is not.  Pairs are sorted, which lists them by vertex and
         then in pattern order, as the c cells U, L, R, D ascend.
         """
-        width = self.width
-        # Shifting by dx = +-1 wraps row ends onto the next row; the column masks drop those.
-        cols = {-1: self._not_first_col, 0: self.full, 1: self._not_last_col}
-        near = {}  # (dx, dy) -> cells whose (dx, dy) neighbour is in the subset
-        for dx, dy in OFFSETS:
-            shift = dy * width + dx
-            near[dx, dy] = (mask >> shift if shift >= 0 else mask << -shift) & cols[dx]
+        near = dict(zip(OFFSETS, self._near(mask)))
         out = []
         for a, b, (cx, cy) in FORCED_VERTEX_PATTERNS:
             flagged = mask & near[a] & near[b] & ~near[cx, cy]
@@ -189,7 +182,7 @@ class Box:
                 low = flagged & -flagged
                 flagged ^= low
                 v = low.bit_length() - 1
-                out.append((v, v + cy * width + cx))
+                out.append((v, v + cy * self.width + cx))
         return sorted(out)
 
 

@@ -124,7 +124,10 @@ class StuckWitness:
 
 @dataclass(frozen=True)
 class HamiltonianResult:
-    """Tagged outcome of find_hamiltonian_cycle; never raised, always returned."""
+    """Tagged outcome of find_hamiltonian_cycle; never raised, always returned.
+
+    ``trace`` is None only for ``no_cycle``; with no seed triangle it is empty.
+    """
 
     status: str  # "cycle" | "no_cycle" | "extension_failed"
     cycle: Cycle | None = None
@@ -522,15 +525,12 @@ def _seed_and_extend(g: SupergridGraph, reverse_frontier: bool = False,
                      table: VertexTable | None = None) -> HamiltonianResult:
     """find_hamiltonian_cycle after its precheck; builds g's vertex_ids unless given."""
     table = vertex_ids(g) if table is None else table
-    seed = _seed_triangle(g, table)
-    if seed is None:
-        return HamiltonianResult(
-            status="extension_failed",
-            witness=StuckWitness(g, None, None),
-        )
-    engine = _Engine(g, table, seed.verts, reverse_frontier)
     steps: list[ExtensionStep] = []
     try:
+        seed = _seed_triangle(g, table)
+        if seed is None:
+            raise ExtensionStuck(StuckWitness(g, None, None))
+        engine = _Engine(g, table, seed.verts, reverse_frontier)
         while engine.k < len(g):
             steps.append(engine.step())
         cycle = engine.cycle()

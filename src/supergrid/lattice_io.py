@@ -26,7 +26,7 @@ from .classify import ClassificationReport
 from .cycles import Cycle
 from .errors import CycleFormatError, InvalidCharacter
 from .grid import Point, SupergridGraph
-from .hamiltonian import ExtensionStep, ExtensionTrace
+from .hamiltonian import ExtensionTrace
 
 
 def _rows(text: str) -> list[str]:
@@ -140,11 +140,6 @@ def report_to_json(report: ClassificationReport) -> str:
     return json.dumps(report, indent=2, default=_json_default)
 
 
-def step_to_json(step: ExtensionStep) -> str:
-    """One trace step as a single JSON line, keyed by its field names."""
-    return _ENCODER.encode(step)
-
-
 def trace_to_jsonl(trace: ExtensionTrace) -> str:
-    """JSON-lines serialization of a whole trace, one step per line."""
-    return "".join(step_to_json(step) + "\n" for step in trace.steps)
+    """JSON-lines serialization of a whole trace: one line per step, keyed by its field names."""
+    return "".join(_ENCODER.encode(step) + "\n" for step in trace.steps)

@@ -356,6 +356,7 @@ def find_hamiltonian_cycle(
     if cycle is None:
         return HamiltonianResult(
             status="extension_failed",
+            trace=ExtensionTrace(),
             witness=StuckWitness(g, None, None),
         )
     steps: list[ExtensionStep] = []

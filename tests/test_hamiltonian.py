@@ -13,6 +13,7 @@ from supergrid import (
     Cycle,
     ExtensionRule,
     ExtensionStep,
+    ExtensionTrace,
     PreconditionViolated,
     SizeBoundExceeded,
     bitboard,
@@ -23,6 +24,7 @@ from supergrid import (
     find_hamiltonian_cycle,
     from_points,
     seed_cycle,
+    trace_to_jsonl,
     validate_cycle,
 )
 from supergrid.cli import run_cli
@@ -216,11 +218,21 @@ def test_permissive_mode_probes_non_convex_graphs():
     assert brute_force_hamiltonian(ring) is not None
 
 
-def test_permissive_mode_without_any_triangle():
-    diamond = from_points(pts((0, 0), (1, 1), (0, 2), (-1, 1)))
-    r = find_hamiltonian_cycle(diamond, strict=False)
+# The diamond and every 2-connected 4x4 mask with no triangle: all are
+# Hamiltonian, so the failure is the missing seed, not a missing cycle.
+@pytest.mark.parametrize("g", [
+    pytest.param(from_points(pts((0, 0), (1, 1), (0, 2), (-1, 1))), id="diamond"),
+    *(pytest.param(mask_to_graph(mask, 4), id=f"4x4-{mask}")
+      for mask in (594, 1188, 1686, 9504, 9554, 9622, 9636, 19008,
+                   19026, 19094, 19108, 26962, 26976, 27030, 27044)),
+])
+def test_permissive_mode_without_any_triangle(g):
+    r = find_hamiltonian_cycle(g, strict=False)
     assert r.status == "extension_failed"
+    assert r.trace == ExtensionTrace()
+    assert trace_to_jsonl(r.trace) == ""
     assert r.witness.cycle is None
+    assert brute_force_hamiltonian(g) is not None
 
 
 def test_permissive_mode_still_requires_two_connected():

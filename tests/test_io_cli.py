@@ -290,6 +290,17 @@ def test_cli_permissive_extension_failure_exits_3_with_witness(tmp_path, capsys)
     assert out.read_bytes() == _golden_bytes("hamcycle_permissive_4x4_31615.jsonl")
 
 
+def test_cli_permissive_triangle_free_exits_3_with_empty_trace(tmp_path, capsys):
+    # 4x4 mask 19026 is a 6-cycle: Hamiltonian, but no triangle to seed from.
+    lattice, out = tmp_path / "graph.txt", tmp_path / "trace.jsonl"
+    lattice.write_text(".#..\n#.#.\n.#.#\n..#.\n")
+    assert run_cli(["hamcycle", str(lattice), "--permissive", "--trace", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.encode() == _golden_bytes("hamcycle_permissive_4x4_19026.stderr")
+    assert out.read_bytes() == b""
+
+
 def test_cli_hamcycle_output_revalidates(capsys):
     code = run_cli(["hamcycle", fixture("block3x3.txt")])
     out = capsys.readouterr().out
