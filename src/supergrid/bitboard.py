@@ -18,10 +18,9 @@ Connectivity is a flood fill by king-move dilation, done with shifts and
 column masks over the whole board; the same dilation gives the fringe of a
 subset.  The linear-convex closure fills each line between its lowest and
 highest member until no line changes.  Local connectivity and forced vertices
-read one set of direction masks, per direction the cells whose neighbour that
-way is in the subset; local connectivity looks each vertex's 8-bit pattern up
-in the 256-entry table it shares with :mod:`supergrid.classify`.  The
-predicates follow that module's conventions.
+read one set of direction masks; local connectivity looks each vertex's 8-bit
+pattern up in the 256-entry table shared with :mod:`supergrid.classify`, whose
+conventions the predicates follow.
 
 This is the fast path for box sweeps and seeded growth.  The ``Point``
 predicates in :mod:`supergrid.classify` remain the general-input API (sparse

@@ -76,10 +76,8 @@ def _report_solver_outcome(result) -> int:
     if result.status == "extension_failed":
         witness = result.witness
         print("extension failed; witness:", file=sys.stderr)
-        if witness.cycle is None:
-            print("no triangle to seed from", file=sys.stderr)
-        else:
-            print("stuck cycle: " + " ".join(map(str, witness.cycle.verts)), file=sys.stderr)
+        print("no triangle to seed from" if witness.cycle is None else
+              "stuck cycle: " + " ".join(map(str, witness.cycle.verts)), file=sys.stderr)
         if witness.frontier_vertex is not None:
             print(f"frontier vertex: {witness.frontier_vertex}", file=sys.stderr)
         return EXIT_EXTENSION_FAILED
