@@ -27,7 +27,7 @@ from .lattice_io import (
     trace_to_jsonl,
     write_cycle,
 )
-from .verification import run_box_suite
+from .verification import run_box_suite, solve_with_growth_check
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -124,12 +124,13 @@ def _cmd_enumerate(args) -> int:
     count = hamiltonian_found = 0
     for g in enumerate_graphs(spec):
         count += 1
-        for name, predicate in PREDICATES.items():
-            totals[name] += predicate(g)
-        result = find_hamiltonian_cycle(g, strict=True)
-        if result.found:
-            hamiltonian_found += 1
-            for name, n in result.trace.rule_counts().items():
+        report = classify(g)
+        for name in totals:
+            totals[name] += getattr(report, name)
+        if report.two_connected and report.linear_convex:
+            solved, _, counts = solve_with_growth_check(g)
+            hamiltonian_found += solved
+            for name, n in counts.items():
                 rules[name] += n
     row = {
         "box": f"{width}x{height}",

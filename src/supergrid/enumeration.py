@@ -4,8 +4,8 @@ Exhaustive mode walks every subset of a width x height cell box as a bitmask
 in row-major order (bit i = cell (i % width, i // width)), ascending, which
 makes the enumeration order part of the external contract.  Required
 predicates are tested on the mask by the :mod:`supergrid.bitboard` kernel.
-The box is hard capped at 25 cells (2**25 subsets) so exhaustive runs stay
-seconds-scale.
+The box is capped at 25 cells; ``verify`` took 1.0 s on 4x4 and 10.4 s on
+5x4, ``enumerate`` 4.5 s and 74 s (one core of a 2-core VM, CPython 3.11.7).
 
 Randomized mode grows a connected blob cell by cell and then repairs it to
 linear convexity by closing every line gap; uniform subsets of useful size
@@ -90,7 +90,7 @@ def enumerate_graphs(spec: EnumSpec) -> Iterator[SupergridGraph]:
     """
     masks = box_masks(spec.width, spec.height)
     checks = _mask_checks(bitboard.box(spec.width, spec.height), spec.require)
-    seen: set[tuple[tuple[int, int], ...]] = set()
+    seen: set[SupergridGraph] = set()
     for mask in masks:
         if mask.bit_count() < spec.min_vertices:
             continue
@@ -99,10 +99,9 @@ def enumerate_graphs(spec: EnumSpec) -> Iterator[SupergridGraph]:
         g = mask_to_graph(mask, spec.width)
         if spec.dedup_symmetry:
             canon = canonical_form(g)
-            key = tuple((p.x, p.y) for p in canon.sorted_vertices())
-            if key in seen:
+            if canon in seen:
                 continue
-            seen.add(key)
+            seen.add(canon)
             yield canon
         else:
             yield g

@@ -1,8 +1,10 @@
 """``supergrid enumerate`` pinned byte for byte: stdout and the CSV row.
 
 The goldens cover every predicate tally and every rule column, once over
-the whole 3x3 box (where most subsets fail some predicate) and once over the
-strict 4x4 instances (whose rule columns are the 4x4 rule table).
+the whole 3x3 box (where most subsets fail some predicate), once over the
+strict 4x4 instances (whose rule columns are the 4x4 rule table), and once
+with ``--dedup``, the only path that yields canonical forms instead of the
+box subsets themselves.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 @pytest.mark.parametrize("name, argv", [
     ("enumerate_3x3", ["--box", "3x3"]),
     ("enumerate_4x4_strict", ["--box", "4x4", "--require", "two_connected,linear_convex"]),
+    ("enumerate_3x3_min3_dedup", ["--box", "3x3", "--min", "3", "--dedup"]),
 ])
 def test_cli_enumerate_matches_golden(tmp_path, capsys, name, argv):
     out_csv = tmp_path / "summary.csv"
