@@ -4,8 +4,9 @@ Exhaustive mode walks every subset of a width x height cell box as a bitmask
 in row-major order (bit i = cell (i % width, i // width)), ascending, which
 makes the enumeration order part of the external contract.  Required
 predicates are tested on the mask by the :mod:`supergrid.bitboard` kernel.
-The box is capped at 25 cells; ``verify`` took 1.0 s on 4x4 and 10.4 s on
-5x4, ``enumerate`` 4.5 s and 74 s (one core of a 2-core VM, CPython 3.11.7).
+The box is capped at 25 cells; ``verify`` took 1.2 s on 4x4 and 10.3 s on
+5x4 (medians of 3), ``enumerate`` 4.5 s and 74 s (one core of a shared 2-core
+VM, CPython 3.11.7).
 
 Randomized mode grows a connected blob cell by cell and then repairs it to
 linear convexity by closing every line gap; uniform subsets of useful size

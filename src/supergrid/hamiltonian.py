@@ -570,11 +570,15 @@ def brute_force_hamiltonian_mask(
     anchor (the cycle could not close), where some unvisited vertex has fewer
     than two usable neighbours, or where the unvisited set is no longer
     reachable from the current endpoint, and returns None at once when the
-    anchor has fewer than two neighbours.  A prune removes only subtrees that
-    hold no cycle, so it never changes which cycle is found first.  Returns
-    the cycle as vertex numbers from the anchor, or None.  The search
-    recurses once per cycle vertex, so a ``bound`` above
-    :data:`MAX_ORACLE_BOUND` raises SizeBoundExceeded before it starts.
+    anchor has fewer than two neighbours.  The reachability flood runs at the
+    root, unless every vertex neighbours the anchor, and after a step whose
+    previous endpoint keeps an unvisited neighbour not adjacent to the new
+    endpoint; any other step cannot cut what its parent found connected.  A
+    prune removes only subtrees that hold no cycle, so it never changes which
+    cycle is found first.  Returns the cycle as vertex numbers from the
+    anchor, or None.  The search recurses once per cycle vertex, so a
+    ``bound`` above :data:`MAX_ORACLE_BOUND` raises SizeBoundExceeded before
+    it starts.
     """
     if bound > MAX_ORACLE_BOUND:
         raise SizeBoundExceeded(
@@ -624,7 +628,11 @@ def brute_force_hamiltonian_mask(
             if (adjacency[low.bit_length() - 1] & avail).bit_count() < 2:
                 return False
             f ^= low
-        if not reachable(cur, free):
+        # The parent found free, cur and its own endpoint connected, so
+        # dropping that endpoint cuts nothing when its other free neighbours
+        # (``touched & free``) all neighbour cur.  At the root ``touched`` is
+        # every vertex and nothing was found yet.
+        if touched & free & ~adjacency[cur] and not reachable(cur, free):
             return False
         options = adjacency[cur] & free
         while options:

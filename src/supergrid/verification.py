@@ -14,11 +14,16 @@ One streaming pass over the subset bitmasks drives four checks at once:
 The pass runs on masks: every predicate comes from the
 :mod:`supergrid.bitboard` kernel, and only the strict instances become
 ``SupergridGraph`` objects, handed to the solver's seed-and-extend core
-without re-running its ``Point`` precheck.  The ``Point``
+without re-running its ``Point`` precheck.  2-connectivity comes from
+:meth:`~supergrid.bitboard.Box.two_connected_sweep`, which decides each mask
+from its one-smaller submasks, met earlier in the ascending pass, and keeps
+one byte per subset of the box: 64 KB at 4x4, 1 MB at 5x4, 32 MB at the
+25-cell cap.  The ``Point``
 predicates of :mod:`supergrid.classify` stay the general-input API and the
 reference the kernel is tested against.  The oracle searches the same masks
-with adjacency from the kernel's neighbour table; it shares no code with the
-solver, so its agreement remains independent evidence.
+with adjacency from the kernel's neighbour table and reads none of the
+sweep's predicates; it shares no code with the solver, so its agreement
+remains independent evidence.
 
 The pass also aggregates how often each extension rule fired, which is the
 committed rule-frequency artifact; any fallback firing is flagged for audit
@@ -126,14 +131,14 @@ def run_box_suite(width: int, height: int, oracle_limit: int = 12) -> SuiteRepor
     """Single-threaded sweep of every subset of the width x height box.
 
     Violations are recorded by subset mask (see :mod:`supergrid.bitboard`).
+    2-connectivity is read from the box's subset table, one byte per subset
+    (2**(width*height) bytes, 32 MB at the 25-cell cap), held for the sweep.
     """
     report = SuiteReport(width=width, height=height)
-    masks = box_masks(width, height)
     box = bitboard.box(width, height)
-    for mask in masks:
+    for mask, tc in box.two_connected_sweep(box_masks(width, height)):
         report.total_subsets += 1
         lc = box.is_linear_convex(mask)
-        tc = box.is_two_connected(mask)
         if lc:
             report.linear_convex += 1
             if box.forced_vertex_violations(mask):

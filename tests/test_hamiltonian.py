@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from time import perf_counter
 
 import pytest
 
@@ -427,6 +428,19 @@ def test_brute_force_bound_capped_at_supported_depth(block2):
     c = brute_force_hamiltonian(ladder, bound=MAX_ORACLE_BOUND)
     assert c is not None and c.vertex_set() == ladder.vertices
     assert validate_cycle(ladder, c)
+
+
+def test_brute_force_floods_where_the_unvisited_set_can_split():
+    # The reachability flood runs only at the root and where a step can cut
+    # the unvisited set, but it must run there: without it, two disjoint
+    # blocks take about 20 s to give up, and 1 s bounds a regression.
+    two_blocks = from_points([*block(5, 5).vertices, *block(5, 5, dx=7).vertices])
+    start = perf_counter()
+    assert brute_force_hamiltonian(two_blocks, bound=50) is None
+    assert perf_counter() - start < 1.0
+    g = block(22, 22)
+    c = brute_force_hamiltonian(g, bound=len(g))
+    assert c is not None and oracle_cycle_valid(list(c.verts), set(g.vertices))
 
 
 def test_brute_force_anchored_at_smallest_vertex(block2):

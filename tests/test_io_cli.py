@@ -358,12 +358,14 @@ def test_cli_trace_svg(tmp_path, capsys):
     assert out_svg.read_text() == golden
 
 
-def test_cli_verify_small_box(capsys):
-    code = run_cli(["verify", "--box", "3x3"])
+# 1x1, 1x2 and 2x1 hold only the empty and one- or two-cell subsets.
+@pytest.mark.parametrize("box", ["3x3", "1x1", "1x2", "2x1"])
+def test_cli_verify_small_box(box, capsys):
+    code = run_cli(["verify", "--box", box])
     out = capsys.readouterr().out
     assert code == 0
     assert "violations: 0" in out
-    with open(os.path.join(GOLDEN, "verify_3x3.txt"), encoding="utf-8") as fh:
+    with open(os.path.join(GOLDEN, f"verify_{box}.txt"), encoding="utf-8") as fh:
         assert out == fh.read()
 
 
