@@ -18,12 +18,11 @@ without re-running its ``Point`` precheck.  2-connectivity comes from
 :meth:`~supergrid.bitboard.Box.two_connected_sweep`, which decides each mask
 from its one-smaller submasks, met earlier in the ascending pass, and keeps
 one byte per subset of the box: 64 KB at 4x4, 1 MB at 5x4, 32 MB at the
-25-cell cap.  The ``Point``
-predicates of :mod:`supergrid.classify` stay the general-input API and the
-reference the kernel is tested against.  The oracle searches the same masks
-with adjacency from the kernel's neighbour table and reads none of the
-sweep's predicates; it shares no code with the solver, so its agreement
-remains independent evidence.
+25-cell cap.  The ``Point`` predicates of :mod:`supergrid.classify` stay the
+general-input API and the reference the kernel is tested against.  The
+oracle searches the same masks with adjacency from the kernel's neighbour
+table and reads none of the sweep's predicates; it shares no code with the
+solver, so its agreement remains independent evidence.
 
 The pass also aggregates how often each extension rule fired, which is the
 committed rule-frequency artifact; any fallback firing is flagged for audit
