@@ -11,9 +11,9 @@ order is the (y, x) vertex order used everywhere else in the library.  A
   box, built arithmetically in O(W*H/64) words per line;
 * ``neighbours[i]``: the king-move neighbour mask of cell i.
 
-``neighbours`` takes W*H bits per cell, so it is built on first use, by the
-oracle and the sweep's 2-connectivity table only; ``lines`` grows linearly
-with the box.
+``neighbours`` takes W*H bits per cell, so it is built on first use, only by
+the oracle and the 2-connectivity table of ``verify`` and ``enumerate_graphs``;
+``lines`` grows linearly with the box.
 
 Connectivity is a flood fill by king-move dilation, done with shifts and
 column masks over the whole board; the same dilation gives the fringe of a

@@ -15,6 +15,7 @@ import argparse
 import csv
 import sys
 
+from . import bitboard
 from .classify import classify
 from .enumeration import PREDICATES, EnumSpec, enumerate_graphs
 from .errors import SupergridError
@@ -122,12 +123,14 @@ def _cmd_enumerate(args) -> int:
     totals = dict.fromkeys(PREDICATES, 0)
     rules = ExtensionTrace().rule_counts()
     count = hamiltonian_found = 0
+    side = max(width, height)  # a --dedup canonical form may leave WxH, never side x side
     for g in enumerate_graphs(spec):
         count += 1
-        report = classify(g)
-        for name in totals:
-            totals[name] += getattr(report, name)
-        if report.two_connected and report.linear_convex:
+        kernel = bitboard.box(side, side)  # fetched once enumerate_graphs passed the cap
+        mask = sum(1 << (v.y * side + v.x) for v in g.vertices)
+        holds = {name: getattr(kernel, "is_" + name)(mask) for name in totals}
+        totals = {name: n + holds[name] for name, n in totals.items()}
+        if holds["two_connected"] and holds["linear_convex"]:
             solved, _, counts = solve_with_growth_check(g)
             hamiltonian_found += solved
             for name, n in counts.items():

@@ -3,10 +3,10 @@
 Exhaustive mode walks every subset of a width x height cell box as a bitmask
 in row-major order (bit i = cell (i % width, i // width)), ascending, which
 makes the enumeration order part of the external contract.  Required
-predicates are tested on the mask by the :mod:`supergrid.bitboard` kernel.
-The box is capped at 25 cells; ``verify`` took 1.2 s on 4x4 and 10.3 s on
-5x4 (medians of 3), ``enumerate`` 4.5 s and 74 s (one core of a shared 2-core
-VM, CPython 3.11.7).
+predicates, and the totals ``enumerate`` prints, come from the
+:mod:`supergrid.bitboard` kernel.  The box is capped at 25 cells; ``verify``
+took 1.2 s on 4x4 and 10.3 s on 5x4, ``enumerate`` 2.4 s and 37 s (medians
+of 3, one core of a shared 2-core VM, CPython 3.11.7).
 
 Randomized mode grows a connected blob cell by cell and then repairs it to
 linear convexity by closing every line gap; uniform subsets of useful size
@@ -84,18 +84,19 @@ def box_masks(width: int, height: int) -> range:
 def enumerate_graphs(spec: EnumSpec) -> Iterator[SupergridGraph]:
     """Stream every box subset meeting ``min_vertices`` and ``require``.
 
-    The predicates in ``require`` are tested on the subset mask with the
-    :mod:`supergrid.bitboard` kernel, so rejected subsets never become
-    graphs.  With ``dedup_symmetry`` the stream yields ``canonical_form(g)``
+    ``require`` is tested on the subset mask by the :mod:`supergrid.bitboard`
+    kernel, 2-connectivity on its subset table, so rejected subsets never
+    become graphs.  With ``dedup_symmetry`` it yields ``canonical_form(g)``
     once per equivalence class under the dihedral group plus translation.
     """
     masks = box_masks(spec.width, spec.height)
-    checks = _mask_checks(bitboard.box(spec.width, spec.height), spec.require)
+    kernel = bitboard.box(spec.width, spec.height)
+    checks = _mask_checks(kernel, spec.require - {"two_connected"})
+    if "two_connected" in spec.require:
+        masks = (mask for mask, tc in kernel.two_connected_sweep(masks) if tc)
     seen: set[SupergridGraph] = set()
     for mask in masks:
-        if mask.bit_count() < spec.min_vertices:
-            continue
-        if not all(check(mask) for check in checks):
+        if mask.bit_count() < spec.min_vertices or not all(check(mask) for check in checks):
             continue
         g = mask_to_graph(mask, spec.width)
         if spec.dedup_symmetry:

@@ -134,8 +134,9 @@ def run_box_suite(width: int, height: int, oracle_limit: int = 12) -> SuiteRepor
     (2**(width*height) bytes, 32 MB at the 25-cell cap), held for the sweep.
     """
     report = SuiteReport(width=width, height=height)
+    masks = box_masks(width, height)  # the cap check comes before any table is built
     box = bitboard.box(width, height)
-    for mask, tc in box.two_connected_sweep(box_masks(width, height)):
+    for mask, tc in box.two_connected_sweep(masks):
         report.total_subsets += 1
         lc = box.is_linear_convex(mask)
         if lc:

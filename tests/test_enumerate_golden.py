@@ -2,9 +2,10 @@
 
 The goldens cover every predicate tally and every rule column, once over
 the whole 3x3 box (where most subsets fail some predicate), once over the
-strict 4x4 instances (whose rule columns are the 4x4 rule table), and once
+strict 4x4 instances (whose rule columns are the 4x4 rule table), and twice
 with ``--dedup``, the only path that yields canonical forms instead of the
-box subsets themselves.
+box subsets themselves; on the 4x3 box some of those forms are rotated out
+of the box and are classified in the 4x4 one.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
     ("enumerate_3x3", ["--box", "3x3"]),
     ("enumerate_4x4_strict", ["--box", "4x4", "--require", "two_connected,linear_convex"]),
     ("enumerate_3x3_min3_dedup", ["--box", "3x3", "--min", "3", "--dedup"]),
+    ("enumerate_4x3_min5_dedup", ["--box", "4x3", "--min", "5", "--dedup"]),
 ])
 def test_cli_enumerate_matches_golden(tmp_path, capsys, name, argv):
     out_csv = tmp_path / "summary.csv"

@@ -18,9 +18,17 @@ from supergrid import (
     linear_convex_closure,
     random_graph,
 )
+from supergrid import bitboard
 from supergrid.enumeration import PREDICATES
 
-from conftest import P, oracle_connected, oracle_linear_convex, oracle_two_connected, pts
+from conftest import (
+    P,
+    oracle_connected,
+    oracle_linear_convex,
+    oracle_locally_connected,
+    oracle_two_connected,
+    pts,
+)
 
 
 def test_enumerate_2x2_strict_instances():
@@ -59,7 +67,7 @@ def test_enumerate_2x2_all_nonempty():
 def test_enumerate_counts_cross_check_2x3():
     # Independent recount of the filtered totals for the 2x3 box.
     cells = [P(x, y) for y in range(3) for x in range(2)]
-    expected = {"connected": 0, "two_connected": 0, "linear_convex": 0}
+    expected = {"connected": 0, "two_connected": 0, "linear_convex": 0, "locally_connected": 0}
     for mask in range(1 << 6):
         combo = [cells[i] for i in range(6) if mask >> i & 1]
         if oracle_connected(combo) and combo:
@@ -68,6 +76,8 @@ def test_enumerate_counts_cross_check_2x3():
             expected["two_connected"] += 1
         if combo and oracle_linear_convex(combo):
             expected["linear_convex"] += 1
+        if combo and oracle_locally_connected(combo):
+            expected["locally_connected"] += 1
     for name, want in expected.items():
         spec = EnumSpec(width=2, height=3, min_vertices=1, require=frozenset({name}))
         assert sum(1 for _ in enumerate_graphs(spec)) == want, name
@@ -80,8 +90,31 @@ def test_enumerate_order_is_ascending_bitmask():
 
 
 def test_enumerate_box_cap():
-    with pytest.raises(BoxTooLarge):
-        list(enumerate_graphs(EnumSpec(width=6, height=5)))
+    # With two_connected the cap must raise before the subset table (2**30 bytes) is made.
+    for require in (frozenset(), frozenset({"two_connected"})):
+        with pytest.raises(BoxTooLarge):
+            list(enumerate_graphs(EnumSpec(width=6, height=5, require=require)))
+
+
+def _masks_4x4(graphs) -> list[int]:
+    return [sum(1 << (p.y * 4 + p.x) for p in g.vertices) for g in graphs]
+
+
+@pytest.mark.parametrize("flood", ["kept", "raises"])
+def test_enumerate_two_connected_reads_the_subset_table(box_sweep, monkeypatch, flood):
+    # 2-connectivity in require comes from the subset table, checked against
+    # the Point predicates over every 4x4 mask, and floods no mask on its own.
+    if flood == "raises":
+        def no_flood(self, mask):
+            raise AssertionError("enumerate_graphs flooded a mask for 2-connectivity")
+        monkeypatch.setattr(bitboard.Box, "is_two_connected", no_flood)
+    two_connected = sorted(box_sweep.two_connected_masks)
+    for min_vertices in (0, 5):
+        spec = EnumSpec(4, 4, min_vertices=min_vertices, require={"two_connected"})
+        assert _masks_4x4(enumerate_graphs(spec)) == [
+            m for m in two_connected if m.bit_count() >= min_vertices]
+    strict = EnumSpec(4, 4, require={"two_connected", "linear_convex"})
+    assert _masks_4x4(enumerate_graphs(strict)) == box_sweep.strict_masks
 
 
 def test_canonical_form_translation():

@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -461,6 +462,16 @@ CONTRACT_CASES = [
     for argv in (("hamcycle", "{good}", "--trace"), ("trace", "{good}", "--svg"),
                  ("enumerate", "--box", "2x2", "--csv"))
 ]
+
+
+@pytest.mark.parametrize("command", ["enumerate", "verify"])
+def test_cli_box_cap_checked_before_tables(capsys, command):
+    # The cap is checked before any table of the box is built: building the
+    # 1000x1000 kernel alone takes seconds.
+    start = time.perf_counter()
+    assert run_cli([command, "--box", "1000x1000"]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert "exceeds 25 cells" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", CONTRACT_CASES, ids=" ".join)
