@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 
 from . import bitboard
@@ -177,6 +178,7 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if report.total_violations() == 0 else EXIT_VIOLATIONS
 
 
+@functools.cache  # one per process: argparse looks up sys.stderr and formatters per parse
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="supergrid",

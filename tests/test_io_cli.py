@@ -23,7 +23,7 @@ from supergrid import (
     validate_cycle,
 )
 from supergrid.bitboard import mask_to_graph
-from supergrid.cli import run_cli
+from supergrid.cli import _build_parser, run_cli
 from supergrid.lattice_io import (
     parse_cycle,
     parse_lattice,
@@ -357,6 +357,36 @@ def test_cli_trace_svg(tmp_path, capsys):
     assert code == 0
     golden = open(os.path.join(GOLDEN, "block2x2_trace.svg")).read()
     assert out_svg.read_text() == golden
+
+
+def test_cli_parser_reuse_keeps_no_state(tmp_path, capsys, monkeypatch):
+    # run_cli builds its parser once per process; no option value, default or
+    # error may carry over from one call to the next.
+    monkeypatch.setenv("COLUMNS", "80")  # the same help width here and in the child
+    assert _build_parser() is _build_parser()
+    block2x2 = fixture("block2x2.txt")
+    first, second, third = (str(tmp_path / f"{n}.svg") for n in ("a", "b", "c"))
+    assert run_cli(["trace", block2x2, "--svg", first, "--cell", "5"]) == 0
+    assert run_cli(["verify"]) == 1
+    assert "usage: supergrid verify" in capsys.readouterr().err
+    assert run_cli(["trace", block2x2, "--svg", second, "--cell", "10"]) == 0
+    with open(os.path.join(GOLDEN, "block2x2_trace.svg"), encoding="utf-8") as fh:
+        assert open(second, encoding="utf-8").read() == fh.read()
+    assert run_cli(["trace", block2x2, "--svg", third]) == 0
+    fresh = str(tmp_path / "fresh.svg")
+    assert run_cli_process("trace", block2x2, "--svg", fresh).returncode == 0
+    assert open(third, "rb").read() == open(fresh, "rb").read()
+
+    diamond = tmp_path / "diamond.txt"
+    diamond.write_text("..#..\n.#.#.\n#.#.#\n.#.#.\n..#..\n")
+    capsys.readouterr()
+    assert run_cli(["hamcycle", str(diamond), "--permissive"]) == 3
+    capsys.readouterr()
+    assert run_cli(["hamcycle", str(diamond)]) == 2
+    assert "linear_convex fails" in capsys.readouterr().err
+
+    assert run_cli(["--help"]) == 0
+    assert capsys.readouterr().out == run_cli_process("--help").stdout
 
 
 # 1x1, 1x2 and 2x1 hold only the empty and one- or two-cell subsets.
