@@ -86,11 +86,11 @@ class ClassificationReport:
 def line_gaps(points: Iterable[Point]) -> Iterator[tuple[LineKey, int, int]]:
     """Every line gap (line, a, b): points at parameters a and b, none between, b > a + 1.
 
-    Points are bucketed per direction by line index (y, x, y - x, y + x) at
-    their :func:`point_on_line` parameter (x, but y on vertical lines); a
-    sorted bucket that skips a parameter has a gap.  Gaps come in a fixed
-    order (direction, line index, then parameter), so the first one is
-    deterministic.
+    Points come in (y, x) order and are bucketed per direction by line index
+    (y, x, y - x, y + x) at their :func:`point_on_line` parameter (x, but y
+    on vertical lines), so buckets arrive sorted (antidiagonals reversed); a
+    bucket whose ends lie further apart than its length has a gap.  Gaps come
+    in a fixed order (direction, line index, then parameter).
     """
     buckets = (defaultdict(list), defaultdict(list), defaultdict(list), defaultdict(list))
     horizontal, vertical, diagonal, antidiagonal = buckets
@@ -102,15 +102,18 @@ def line_gaps(points: Iterable[Point]) -> Iterator[tuple[LineKey, int, int]]:
         antidiagonal[y + x].append(x)
     for direction, bucket in zip(LineDirection, buckets):
         for index in sorted(bucket):
-            params = sorted(bucket[index])
-            for a, b in zip(params, params[1:]):
-                if b - a > 1:
-                    yield LineKey(direction, index), a, b
+            params = bucket[index]
+            if abs(params[-1] - params[0]) >= len(params):
+                if params[0] > params[-1]:
+                    params = params[::-1]
+                for a, b in zip(params, params[1:]):
+                    if b - a > 1:
+                        yield LineKey(direction, index), a, b
 
 
 def linear_convexity_violation(g: SupergridGraph) -> ViolationWitness | None:
     """First line gap (see :func:`line_gaps`), or None if g is linearly convex."""
-    for key, a, b in line_gaps(g.vertices):
+    for key, a, b in line_gaps(g.sorted_vertices()):
         return ViolationWitness(
             predicate="linear_convex",
             points=(point_on_line(key, a), point_on_line(key, b)),
@@ -120,9 +123,9 @@ def linear_convexity_violation(g: SupergridGraph) -> ViolationWitness | None:
     return None
 
 
-def is_linear_convex(g: SupergridGraph) -> bool:
-    """True iff every lattice line meets g in a contiguous run (or not at all)."""
-    return linear_convexity_violation(g) is None
+def is_linear_convex(g: SupergridGraph, points: Sequence[Point] | None = None) -> bool:
+    """True iff every lattice line meets g in a run (``points``: g's built id table's)."""
+    return next(line_gaps(g.sorted_vertices() if points is None else points), None) is None
 
 
 def lowpoint_dfs(nbrs: Sequence[Sequence[int]]) -> tuple[bool, bool]:

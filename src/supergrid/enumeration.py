@@ -155,7 +155,8 @@ def linear_convex_closure(
     current: set[Point] = set(points.vertices if isinstance(points, SupergridGraph) else points)
     added: set[Point] = set()
     while fresh := {
-        point_on_line(key, t) for key, a, b in line_gaps(current) for t in range(a + 1, b)
+        point_on_line(key, t)
+        for key, a, b in line_gaps(sorted(current, key=Point.key)) for t in range(a + 1, b)
     }:
         current |= fresh
         added |= fresh

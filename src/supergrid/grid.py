@@ -151,22 +151,29 @@ def neighbors(g: SupergridGraph, v: Point) -> list[Point]:
     return [w for dx, dy in OFFSETS if (w := Point(v.x + dx, v.y + dy)) in verts]
 
 
-VertexTable = tuple[tuple[Point, ...], dict[tuple[int, int], int], list[list[int]]]
+VertexTable = tuple[tuple[Point, ...], dict[int, int], list[list[int]]]
 
 
 def vertex_ids(g: SupergridGraph) -> VertexTable:
-    """Vertex ids in (y, x) order: the points, an (x, y) -> id map, neighbour ids.
+    """Vertex ids in (y, x) order: the points, a packed key -> id map, neighbour ids.
 
+    A point's key is ``(y - y0) * W + (x - x0)`` over g's bounding box plus a
+    one-cell margin, so keys sort in (y, x) order and key k's neighbours are
+    k plus eight fixed offsets; a dict, not an array, so sparse graphs cost O(V).
     ``nbrs[i]`` lists the ids of :func:`neighbors` of ``points[i]``, in Direction
     order.  Not cached on the graph: a solve builds one and shares it.
     """
-    points = g.sorted_vertices()
-    ident = {(p.x, p.y): i for i, p in enumerate(points)}
-    nbrs = [
-        [j for dx, dy in OFFSETS if (j := ident.get((p.x + dx, p.y + dy))) is not None]
-        for p in points
-    ]
-    return points, ident, nbrs
+    box = g.bounding_box()
+    if box is None:
+        return (), {}, []
+    x0, y0, x1, _ = box
+    width = x1 - x0 + 3
+    by_key = {(p.y - y0 + 1) * width + p.x - x0 + 1: p for p in g.vertices}
+    keys = sorted(by_key)
+    ident = dict(zip(keys, range(len(keys))))
+    get, offsets = ident.get, [dy * width + dx for dx, dy in OFFSETS]
+    nbrs = [[j for d in offsets if (j := get(k + d)) is not None] for k in keys]
+    return tuple(map(by_key.__getitem__, keys)), ident, nbrs
 
 
 def induced_neighborhood(g: SupergridGraph, v: Point) -> SupergridGraph:

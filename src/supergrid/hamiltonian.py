@@ -46,7 +46,9 @@ and a lazy min-heap of the frontier vertices that have an insertable edge.
 Splicing x into the edge (u, v) touches only frontier vertices next to x,
 u and v, and a relabel costs O(levels + run), so a DIRECT_INSERT step
 costs amortised O(log V) and a solve made of them is near-linear: about 5
-label writes per step on a 256x256 block and 11 on a 2x20000 strip.  The
+label writes per step on a 256x256 block and 11 on a 2x20000 strip.  It
+records the step as three ints (see :class:`ExtensionTrace`), and an
+``ExtensionStep`` is built only when the trace's steps are read.  The
 other rules run unchanged on a materialised ``Cycle`` and the engine is
 rebuilt from their result in O(V).  Every cycle is checked
 once: a DIRECT_INSERT step checks its splice locally (x off the cycle,
@@ -58,6 +60,8 @@ Only caller-supplied cycles go through :func:`~supergrid.cycles.validate_cycle`.
 
 from __future__ import annotations
 
+import functools
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush
@@ -102,15 +106,48 @@ class ExtensionStep:
     pivot_y: Point | None = None
 
 
-@dataclass(frozen=True)
 class ExtensionTrace:
-    steps: tuple[ExtensionStep, ...] = ()
+    """The steps of one solve, in order; traces with equal steps are equal.
+
+    ``records`` holds three ints per step: the cycle length before it, then
+    the ids (in ``points``) of a DIRECT_INSERT step's attached vertex and u,
+    or -1 and the step's index in ``rare``, where ``ExtensionTrace(steps)``
+    puts every step.  ``steps`` builds the ``ExtensionStep``s on first read.
+    """
+
+    def __init__(self, steps: Sequence[ExtensionStep] = (), *, records: array | None = None,
+                 rare: Sequence[ExtensionStep] = (), points: Sequence[Point] = ()):
+        if records is None:
+            self.steps, rare = steps, steps
+            records = array("i", [n for i, step in enumerate(steps)
+                                  for n in (step.cycle_length_before, -1, i)])
+        self.records, self.rare, self.points = records, rare, points
+
+    @functools.cached_property
+    def steps(self) -> tuple[ExtensionStep, ...]:
+        it = iter(self.records)
+        return tuple(self._step(*record) for record in zip(it, it, it))
+
+    def _step(self, k: int, x: int, u: int) -> ExtensionStep:
+        if x < 0:
+            return self.rare[u]
+        return ExtensionStep(k, self.points[x], ExtensionRule.DIRECT_INSERT, self.points[u])
 
     def rule_counts(self) -> dict[str, int]:
         counts = {rule.value: 0 for rule in ExtensionRule}
-        for step in self.steps:
+        counts[ExtensionRule.DIRECT_INSERT.value] = len(self.records) // 3 - len(self.rare)
+        for step in self.rare:
             counts[step.rule.value] += 1
         return counts
+
+    def __eq__(self, other: object) -> bool:
+        return self.steps == other.steps if isinstance(other, ExtensionTrace) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.steps)
+
+    def __repr__(self) -> str:
+        return f"ExtensionTrace(steps={self.steps!r})"
 
 
 @dataclass(frozen=True)
@@ -161,7 +198,7 @@ def _failed_precondition(g: SupergridGraph, table: VertexTable, strict: bool) ->
     """The first failed solver precondition: 2-connectivity, then (strict) linear convexity."""
     if not is_two_connected(g, table[2]):
         return "two_connected"
-    if strict and not is_linear_convex(g):
+    if strict and not is_linear_convex(g, table[0]):
         return "linear_convex"
     return None
 
@@ -169,12 +206,24 @@ def _failed_precondition(g: SupergridGraph, table: VertexTable, strict: bool) ->
 def _seed_triangle(g: SupergridGraph, table: VertexTable | None = None) -> Cycle | None:
     """First triangle in lex order: smallest apex, then neighbor-pair order."""
     points, _, nbrs = vertex_ids(g) if table is None else table
+    ids = _seed_ids(nbrs)
+    return None if ids is None else Cycle(tuple(points[v] for v in ids))
+
+
+def _seed_ids(nbrs: Sequence[Sequence[int]]) -> tuple[int, int, int] | None:
+    """The ids of :func:`_seed_triangle`'s triangle."""
     for u, row in enumerate(nbrs):
         for i in range(len(row)):
             for j in range(i + 1, len(row)):
                 if row[j] in nbrs[row[i]]:
-                    return Cycle((points[u], points[row[i]], points[row[j]]))
+                    return u, row[i], row[j]
     return None
+
+
+def _point_ids(points: Sequence[Point], verts: Sequence[Point]) -> list[int]:
+    """The ids of ``verts`` in a vertex table whose points are ``points``."""
+    index = dict(zip(points, range(len(points))))
+    return [index[p] for p in verts]
 
 
 def _assemble(pieces: list[tuple[Point, ...]]) -> Cycle | None:
@@ -330,20 +379,20 @@ class _Engine:
     ready common neighbour of both ends can lose its flag (see ``step``).
     """
 
-    def __init__(self, g: SupergridGraph, table: VertexTable, verts: Sequence[Point],
+    def __init__(self, g: SupergridGraph, table: VertexTable, ids: Sequence[int],
                  reverse: bool):
         self.g, self.reverse = g, reverse
-        self.points, self.ident, self.nbrs = table
+        self.points, _, self.nbrs = table
         self.levels = 2  # labels live in [0, top), with n + 1 <= (4/3)**levels (see _label_after)
         while (len(self.points) + 1) * 3**self.levels > 4**self.levels:
             self.levels += 1
         self.top = 1 << self.levels
-        self.load(verts)
+        self.trace = ExtensionTrace(records=array("i"), rare=[], points=self.points)
+        self.load(ids)
 
-    def load(self, verts: Sequence[Point]) -> None:
-        """Rebuild ring, labels and heap from a cycle, in O(V)."""
+    def load(self, ids: Sequence[int]) -> None:
+        """Rebuild ring, labels and heap from a cycle's ids, in O(V)."""
         n = len(self.points)
-        ids = [self.ident[p.x, p.y] for p in verts]
         self.head, self.k = ids[0], len(ids)
         self.on = on = bytearray(n)
         self.ready = bytearray(n)
@@ -391,8 +440,8 @@ class _Engine:
             heappush(self.heap, -w if self.reverse else w)
         self.ready[w] = ready
 
-    def step(self) -> ExtensionStep:
-        """Attach one vertex: DIRECT_INSERT if the heap holds a ready vertex."""
+    def step(self) -> None:
+        """Attach one vertex and record it: DIRECT_INSERT if the heap holds a ready vertex."""
         heap, on, ready, nbrs = self.heap, self.on, self.ready, self.nbrs
         succ, pred = self.succ, self.pred
         while heap:
@@ -420,10 +469,11 @@ class _Engine:
             for w in nbrs[u]:
                 if ready[w] and not on[w] and v in nbrs[w] and w not in near_x:
                     self._recheck(w)
-            return ExtensionStep(before, self.points[x], ExtensionRule.DIRECT_INSERT, self.points[u])
-        return self._rewire()
+            self.trace.records.extend((before, x, u))
+            return
+        self._rewire()
 
-    def _rewire(self) -> ExtensionStep:
+    def _rewire(self) -> None:
         """No direct insertion: the claim rewires, then the fallback, on a Cycle."""
         g, c = self.g, self.cycle()
         frontier = [self.points[w] for w in self._frontier()]
@@ -435,8 +485,9 @@ class _Engine:
         if (new is None or len(new) != len(c) + 1
                 or new.vertex_set() != c.vertex_set() | {step.attached_vertex}):
             raise self._stuck(c)
-        self.load(new.verts)
-        return step
+        self.load(_point_ids(self.points, new.verts))
+        self.trace.records.extend((len(c), -1, len(self.trace.rare)))
+        self.trace.rare.append(step)
 
     def _label_after(self, u: int) -> int:
         """A label strictly between u's and its successor's (``top`` after the last).
@@ -507,10 +558,11 @@ def extension_steps(
     """
     if not validate_cycle(g, c):
         raise ValueError("c is not a valid cycle of the host graph")
-    engine = _Engine(g, vertex_ids(g), c.verts, reverse_frontier)
+    table = vertex_ids(g)
+    engine = _Engine(g, table, _point_ids(table[0], c.verts), reverse_frontier)
     while engine.k < len(g):
-        step = engine.step()
-        yield engine.cycle(), step
+        engine.step()
+        yield engine.cycle(), engine.trace._step(*engine.trace.records[-3:])
 
 
 def find_hamiltonian_cycle(
@@ -539,24 +591,21 @@ def _seed_and_extend(g: SupergridGraph, reverse_frontier: bool = False,
                      table: VertexTable | None = None) -> HamiltonianResult:
     """find_hamiltonian_cycle after its precheck; builds g's vertex_ids unless given."""
     table = vertex_ids(g) if table is None else table
-    steps: list[ExtensionStep] = []
+    engine = None
     try:
-        seed = _seed_triangle(g, table)
+        seed = _seed_ids(table[2])
         if seed is None:
             raise ExtensionStuck(StuckWitness(g, None, None))
-        engine = _Engine(g, table, seed.verts, reverse_frontier)
+        engine = _Engine(g, table, seed, reverse_frontier)
         while engine.k < len(g):
-            steps.append(engine.step())
+            engine.step()
         cycle = engine.cycle()
         if cycle.vertex_set() != g.vertices:
             raise ExtensionStuck(StuckWitness(g, cycle, None))
     except ExtensionStuck as stuck:
-        return HamiltonianResult(
-            status="extension_failed",
-            trace=ExtensionTrace(tuple(steps)),
-            witness=stuck.witness,
-        )
-    return HamiltonianResult(status="cycle", cycle=cycle, trace=ExtensionTrace(tuple(steps)))
+        trace = ExtensionTrace() if engine is None else engine.trace
+        return HamiltonianResult(status="extension_failed", trace=trace, witness=stuck.witness)
+    return HamiltonianResult(status="cycle", cycle=cycle, trace=engine.trace)
 
 
 def brute_force_hamiltonian(g: SupergridGraph, bound: int = 24) -> Cycle | None:

@@ -18,6 +18,7 @@ field is a new JSONL key with no edit here.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import fields, is_dataclass
 from enum import Enum
@@ -121,6 +122,9 @@ def export_svg(c: Cycle, cell_size: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+_fields = functools.cache(fields)
+
+
 def _json_default(value):
     """Encoder hook: Point [x, y], Enum its value, dataclass an object by fields."""
     if isinstance(value, Point):  # before the dataclass case: Point is one
@@ -128,11 +132,11 @@ def _json_default(value):
     if isinstance(value, Enum):
         return value.value
     if is_dataclass(value):
-        return {f.name: getattr(value, f.name) for f in fields(value)}
+        return {f.name: getattr(value, f.name) for f in _fields(type(value))}
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-_ENCODER = json.JSONEncoder(default=_json_default)
+_ENCODER = json.JSONEncoder(default=_json_default, check_circular=False)
 
 
 def report_to_json(report: ClassificationReport) -> str:

@@ -122,7 +122,7 @@ def solve_with_growth_check(g: SupergridGraph) -> tuple[bool, bool, dict[str, in
     result = _seed_and_extend(g)
     if result.status != "cycle":
         return False, True, ExtensionTrace().rule_counts()
-    lengths = [step.cycle_length_before for step in result.trace.steps]
+    lengths = result.trace.records[::3].tolist()  # cycle_length_before of every step
     return True, lengths == list(range(3, len(g))), result.trace.rule_counts()
 
 

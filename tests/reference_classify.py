@@ -8,13 +8,24 @@ The library now runs one lowpoint DFS over the integer neighbour lists of
 ``bitboard.local_table``; the differential tests check that it answers
 exactly as these do, and that the solver's precheck fails the same
 predicate first.
+
+``line_gaps`` sorted every line's bucket; the library's takes the points in
+(y, x) order instead, so that its buckets arrive ordered.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
+from typing import Iterable, Iterator
 
-from supergrid.classify import ClassificationReport, ViolationWitness, linear_convexity_violation
+from supergrid.classify import (
+    ClassificationReport,
+    LineDirection,
+    LineKey,
+    ViolationWitness,
+    linear_convexity_violation,
+    point_on_line,
+)
 from supergrid.grid import Point, SupergridGraph, induced_neighborhood, neighbors
 
 
@@ -108,3 +119,40 @@ def failed_precondition(two_connected: bool, linear_convex: bool, strict: bool) 
     if strict and not linear_convex:
         return "linear_convex"
     return None
+
+
+def line_gaps(points: Iterable[Point]) -> Iterator[tuple[LineKey, int, int]]:
+    """Every line gap (line, a, b): points at parameters a and b, none between, b > a + 1.
+
+    Points are bucketed per direction by line index (y, x, y - x, y + x) at
+    their :func:`point_on_line` parameter (x, but y on vertical lines); a
+    sorted bucket that skips a parameter has a gap.  Gaps come in a fixed
+    order (direction, line index, then parameter), so the first one is
+    deterministic.
+    """
+    buckets = (defaultdict(list), defaultdict(list), defaultdict(list), defaultdict(list))
+    horizontal, vertical, diagonal, antidiagonal = buckets
+    for p in points:
+        x, y = p.x, p.y
+        horizontal[y].append(x)
+        vertical[x].append(y)
+        diagonal[y - x].append(x)
+        antidiagonal[y + x].append(x)
+    for direction, bucket in zip(LineDirection, buckets):
+        for index in sorted(bucket):
+            params = sorted(bucket[index])
+            for a, b in zip(params, params[1:]):
+                if b - a > 1:
+                    yield LineKey(direction, index), a, b
+
+
+def linear_convex_closure(points: Iterable[Point]) -> tuple[SupergridGraph, frozenset[Point]]:
+    """``enumeration.linear_convex_closure`` on the reference :func:`line_gaps`."""
+    current: set[Point] = set(points)
+    added: set[Point] = set()
+    while fresh := {
+        point_on_line(key, t) for key, a, b in line_gaps(current) for t in range(a + 1, b)
+    }:
+        current |= fresh
+        added |= fresh
+    return SupergridGraph(current), frozenset(added)

@@ -21,15 +21,48 @@ from supergrid.bitboard import mask_to_graph
 from supergrid.classify import (
     classify,
     is_connected,
+    is_linear_convex,
     is_two_connected,
+    line_gaps,
     local_connectivity_violation,
     lowpoint_dfs,
 )
+from supergrid.enumeration import linear_convex_closure
 from supergrid.errors import PreconditionViolated
+from supergrid.grid import vertex_ids
 from supergrid.hamiltonian import find_hamiltonian_cycle, seed_cycle
 
 import reference_classify as ref
 from test_predicates_beyond_4x4 import _seeded_masks  # 1,200 masks per box
+
+
+def assert_same_line_gaps(g, label) -> bool:
+    """The library's line rule on (y, x)-ordered points against the sorting reference."""
+    gaps = list(ref.line_gaps(g.vertices))
+    points = g.sorted_vertices()
+    assert list(line_gaps(points)) == gaps, label
+    assert is_linear_convex(g) == is_linear_convex(g, points) == (not gaps), label
+    return not gaps
+
+
+def test_line_gaps_match_reference_on_translated_4x4_universe():
+    # The closure of a 4x4 mask fills gaps inside its box, so every set it
+    # passes to line_gaps is another mask checked here: equal gaps give
+    # equal closures on this universe.
+    convex = sum(assert_same_line_gaps(mask_to_graph(mask, 4).translate(-5, -3), mask)
+                 for mask in range(1 << 16))
+    assert convex == 2_962
+
+
+@pytest.mark.parametrize("width, height, seed, convex", [(6, 6, 26, 398), (7, 7, 27, 346)])
+def test_line_gaps_match_reference_on_seeded_masks(width, height, seed, convex):
+    box, found = bitboard.box(width, height), 0
+    for mask in _seeded_masks(width, height, seed):
+        g = mask_to_graph(mask, width).translate(3, -height)
+        found += assert_same_line_gaps(g, mask)
+        assert is_linear_convex(g, vertex_ids(g)[0]) == box.is_linear_convex(mask), mask
+        assert linear_convex_closure(g) == ref.linear_convex_closure(g.vertices), mask
+    assert found == convex
 
 
 def test_lowpoint_dfs_on_tiny_tables():

@@ -15,7 +15,7 @@ import pytest
 from supergrid import ExtensionStuck
 from supergrid.bitboard import mask_to_graph
 from supergrid.grid import vertex_ids
-from supergrid.hamiltonian import _Engine, _seed_triangle
+from supergrid.hamiltonian import _Engine, _seed_ids
 
 from conftest import block, disc
 from test_engine_differential import RARE_PATH_MASKS
@@ -44,7 +44,8 @@ def run_checked(g, reverse: bool) -> int:
 
     Returns how many steps rewrote a label other than the attached vertex's.
     """
-    engine = _Engine(g, vertex_ids(g), _seed_triangle(g).verts, reverse)
+    table = vertex_ids(g)
+    engine = _Engine(g, table, _seed_ids(table[2]), reverse)
     assert_engine_state(engine)
     relabels = 0
     while engine.k < len(g):
@@ -90,7 +91,8 @@ def test_label_after_raises_on_labels_out_of_order():
     # every level leaves it no gap before the end, and the bounded level loop
     # must raise instead of climbing for ever.
     g = block(3, 3)
-    engine = _Engine(g, vertex_ids(g), _seed_triangle(g).verts, False)
+    table = vertex_ids(g)
+    engine = _Engine(g, table, _seed_ids(table[2]), False)
     engine.step()
     last = engine.pred[engine.head]
     engine.label[last] = engine.top

@@ -264,6 +264,58 @@ def test_strict_solve_large_regions(g):
     assert lengths == list(range(3, len(g)))
 
 
+def test_solve_builds_steps_on_first_read_only(monkeypatch):
+    built = []
+
+    def counting_step(*args, **kwargs):
+        built.append(args)
+        return ExtensionStep(*args, **kwargs)
+
+    monkeypatch.setattr(supergrid.hamiltonian, "ExtensionStep", counting_step)
+    g = block(64, 64)
+    r = find_hamiltonian_cycle(g)
+    assert r.found and not built
+    counts = r.trace.rule_counts()
+    assert r.trace.records[::3].tolist() == list(range(3, len(g)))
+    assert not built
+    steps = r.trace.steps
+    assert len(built) == len(steps) == len(g) - 3
+    assert r.trace.steps is steps and len(built) == len(steps)
+    assert counts == {rule.value: sum(s.rule is rule for s in steps) for rule in ExtensionRule}
+    assert counts["DIRECT_INSERT"] == len(g) - 3
+    explicit = ExtensionTrace(steps)
+    assert explicit == r.trace and hash(explicit) == hash(r.trace)
+    assert repr(explicit) == repr(r.trace)
+    assert explicit.rule_counts() == counts and explicit.records[::3] == r.trace.records[::3]
+    assert trace_to_jsonl(explicit) == trace_to_jsonl(r.trace)
+    assert len(built) == len(steps)
+
+
+def test_lazy_trace_keeps_rare_steps_at_their_positions():
+    g = mask_to_graph(20159, 4)  # a permissive solve with a claim rewire and the fallback
+    r = find_hamiltonian_cycle(g, strict=False)
+    rules = [step.rule.value for step in r.trace.steps]
+    direct = ["DIRECT_INSERT"]
+    assert rules == direct * 2 + ["CLAIM1_REWIRE"] + direct * 4 + ["FALLBACK_SEARCH"]
+    assert r.trace.records[::3].tolist() == [step.cycle_length_before for step in r.trace.steps]
+    assert r.trace.rule_counts() == {rule.value: rules.count(rule.value) for rule in ExtensionRule}
+    assert r.trace == ExtensionTrace(r.trace.steps) and ExtensionTrace() != r.trace
+
+
+def test_jsonl_costs_less_than_the_solve():
+    # trace_to_jsonl builds the ExtensionSteps a solve only recorded; on a
+    # 128x128 block it takes about 0.7 of the solve's time.
+    g = block(128, 128)
+    solve = jsonl = float("inf")
+    for _ in range(3):
+        start = perf_counter()
+        r = find_hamiltonian_cycle(g)
+        mid = perf_counter()
+        trace_to_jsonl(r.trace)
+        solve, jsonl = min(solve, mid - start), min(jsonl, perf_counter() - mid)
+    assert jsonl < solve, (jsonl, solve)
+
+
 def test_trace_soundness_of_claim_steps():
     # Replay solves over a slab of the 4x4 universe and check the recorded
     # pivots against the side conditions each rule family requires.
