@@ -125,13 +125,10 @@ class ExtensionTrace:
 
     @functools.cached_property
     def steps(self) -> tuple[ExtensionStep, ...]:
-        it = iter(self.records)
-        return tuple(self._step(*record) for record in zip(it, it, it))
-
-    def _step(self, k: int, x: int, u: int) -> ExtensionStep:
-        if x < 0:
-            return self.rare[u]
-        return ExtensionStep(k, self.points[x], ExtensionRule.DIRECT_INSERT, self.points[u])
+        it, points, rare = iter(self.records), self.points, self.rare
+        direct = ExtensionRule.DIRECT_INSERT
+        return tuple([rare[u] if x < 0 else ExtensionStep(k, points[x], direct, points[u])
+                      for k, x, u in zip(it, it, it)])
 
     def rule_counts(self) -> dict[str, int]:
         counts = {rule.value: 0 for rule in ExtensionRule}
@@ -562,7 +559,9 @@ def extension_steps(
     engine = _Engine(g, table, _point_ids(table[0], c.verts), reverse_frontier)
     while engine.k < len(g):
         engine.step()
-        yield engine.cycle(), engine.trace._step(*engine.trace.records[-3:])
+        last = ExtensionTrace(records=engine.trace.records[-3:], rare=engine.trace.rare,
+                              points=engine.points)
+        yield engine.cycle(), last.steps[0]
 
 
 def find_hamiltonian_cycle(

@@ -136,6 +136,7 @@ def _json_default(value):
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+# No result dataclass can contain itself, so the encoder skips its cycle check.
 _ENCODER = json.JSONEncoder(default=_json_default, check_circular=False)
 
 
