@@ -9,19 +9,22 @@ order is the (y, x) vertex order used everywhere else in the library.  A
   antidiagonal) holding at least three cells, since shorter lines cannot
   have a gap; each is a run of bits at stride 1, W, W+1 or W-1 cut to the
   box, built arithmetically in O(W*H/64) words per line;
+* ``line_families``: the same masks by family, indexed by row y, column x,
+  y - x + W - 1 and x + y, with 0 for lines under three cells;
 * ``neighbours[i]``: the king-move neighbour mask of cell i.
 
 ``neighbours`` takes W*H bits per cell, so it is built on first use, only by
 the oracle and the 2-connectivity table of ``verify`` and ``enumerate_graphs``;
-``lines`` grows linearly with the box.
+the line tables grow linearly with the box.
 
 Connectivity is a flood fill by king-move dilation, done with shifts and
 column masks over the whole board; the same dilation gives the fringe of a
-subset.  The linear-convex closure fills each line between its lowest and
-highest member until no line changes.  Local connectivity and forced vertices
-read one set of direction masks; local connectivity looks each vertex's 8-bit
-pattern up in the 256-entry table shared with :mod:`supergrid.classify`, whose
-conventions the predicates follow.
+subset.  The linear-convex closure fills lines from a worklist, each between
+its lowest and highest member, and queues the lines through each cell it
+adds, so closing after one new cell checks only that cell's lines.  Local
+connectivity and forced vertices read one set of direction masks; local
+connectivity looks each vertex's 8-bit pattern up in the 256-entry table
+shared with :mod:`supergrid.classify`, whose conventions the predicates follow.
 
 This is the fast path for box sweeps and seeded growth.  The ``Point``
 predicates in :mod:`supergrid.classify` remain the general-input API (sparse
@@ -62,7 +65,7 @@ class Box:
 
     # Slots, not cached_property: an instance __dict__ slows the predicates' attribute loads.
     __slots__ = ("width", "height", "full", "_not_first_col", "_not_last_col",
-                 "lines", "_neighbours")
+                 "lines", "line_families", "_neighbours")
 
     def __init__(self, width: int, height: int):
         self.width = width
@@ -71,18 +74,21 @@ class Box:
         first_col = sum(1 << (y * width) for y in range(height))
         self._not_first_col = self.full & ~first_col
         self._not_last_col = self.full & ~(first_col << (width - 1))
-        # (first bit b, stride s, length n) of each line: rows, columns, diagonals
-        # (y - x fixed) from the upper-left end, antidiagonals from the upper-right.
-        runs = [(y * width, 1, width) for y in range(height)]
-        runs += [(x, width, height) for x in range(width)]
+        # (first bit b, stride s, length n) of each line, per family; diagonals
+        # start at the upper-left end, antidiagonals at the upper-right.
+        families = ([(y * width, 1, width) for y in range(height)],
+                    [(x, width, height) for x in range(width)], [], [])
         for d in range(1 - width, height):
             x0 = max(0, -d)
-            runs.append(((x0 + d) * width + x0, width + 1, min(width, height - d) - x0))
+            families[2].append(((x0 + d) * width + x0, width + 1, min(width, height - d) - x0))
         for a in range(width + height - 1):
             x1 = min(width - 1, a)
-            runs.append(((a - x1) * width + x1, width - 1, x1 - max(0, a - height + 1) + 1))
-        # Bits b, b + s, ..., b + (n - 1) s form a geometric series.
-        self.lines = tuple(((1 << s * n) - 1) // ((1 << s) - 1) << b for b, s, n in runs if n >= 3)
+            families[3].append(((a - x1) * width + x1, width - 1, x1 - max(0, a - height + 1) + 1))
+        # Bits b, b + s, ..., b + (n - 1) s form a geometric series; short lines are 0.
+        self.line_families = tuple(
+            tuple(((1 << s * n) - 1) // ((1 << s) - 1) << b if n >= 3 else 0 for b, s, n in runs)
+            for runs in families)
+        self.lines = tuple(line for family in self.line_families for line in family if line)
         self._neighbours = None
 
     @property
@@ -171,16 +177,29 @@ class Box:
                 return False
         return True
 
-    def close(self, mask: int) -> int:
-        """Linear-convex closure: fill every line between its end bits until nothing changes."""
+    def close(self, mask: int, fresh: int | None = None) -> int:
+        """Smallest linearly convex superset of ``mask | fresh``, from a worklist of lines.
+
+        Only lines through ``fresh`` cells (every line if None) are checked, so
+        the rest must be gap-free; each cell a line fill adds queues its lines.
+        The superset is unique, so the order of the fills cannot change it.
+        """
+        todo, fresh = (list(self.lines), 0) if fresh is None else ([], fresh)
+        mask |= fresh
+        rows, cols, diagonals, antidiagonals = self.line_families
         while True:
-            before = mask
-            for line in self.lines:
-                seg = mask & line
-                if seg:
-                    mask |= line & ((1 << seg.bit_length()) - (seg & -seg))
-            if mask == before:
+            while fresh:
+                low = fresh & -fresh
+                fresh ^= low
+                y, x = divmod(low.bit_length() - 1, self.width)
+                todo += rows[y], cols[x], diagonals[y - x + self.width - 1], antidiagonals[x + y]
+            if not todo:
                 return mask
+            line = todo.pop()
+            seg = mask & line
+            if seg:
+                fresh = (line & ((1 << seg.bit_length()) - (seg & -seg))) ^ seg
+                mask |= fresh
 
     def _near(self, mask: int) -> tuple[int, ...]:
         """Per Direction d, the cells whose d neighbour is in the subset."""

@@ -5,8 +5,8 @@ in row-major order (bit i = cell (i % width, i // width)), ascending, which
 makes the enumeration order part of the external contract.  Required
 predicates, and the totals ``enumerate`` prints, come from the
 :mod:`supergrid.bitboard` kernel.  The box is capped at 25 cells; ``verify``
-took 1.2 s on 4x4 and 10.3 s on 5x4, ``enumerate`` 2.4 s and 37 s (medians
-of 3, one core of a shared 2-core VM, CPython 3.11.7).
+takes 0.5 s on 4x4 and 4.9 s on 5x4, ``enumerate`` 1.1 s and 16 s (medians
+of 3 to 5, one core of a shared 2-core Xeon VM, CPython 3.11.7).
 
 Randomized mode grows a connected blob cell by cell and then repairs it to
 linear convexity by closing every line gap; uniform subsets of useful size
@@ -187,7 +187,7 @@ def random_graph(spec: EnumSpec) -> SupergridGraph:
             break
         for _ in range(rng.randrange(fringe.bit_count())):
             fringe &= fringe - 1  # drop the lowest candidate
-        mask = kernel.close(mask | (fringe & -fringe))
+        mask = kernel.close(mask, fringe & -fringe)
     raise GenerationBudgetExhausted(
         f"no {sorted(spec.require)} graph of >= {spec.min_vertices} vertices "
         f"found in {spec.width}x{spec.height} with seed {spec.seed}"

@@ -1,7 +1,8 @@
 """Slow reference: the ``Point``-set random graph generator, kept verbatim.
 
 Every growth step rescans the neighbours of the whole blob, closes line gaps
-with ``linear_convex_closure`` and re-runs the ``Point`` predicates of
+with ``reference_classify.linear_convex_closure`` (so the differential shares
+no closure code with the library) and re-runs the ``Point`` predicates of
 ``require``, so a graph of n cells costs O(n^2) neighbour scans.  The
 library's mask-native ``random_graph`` must return the same graph, or raise
 the same exception with the same message, for every spec; the differential
@@ -12,15 +13,11 @@ from __future__ import annotations
 
 import random
 
-from supergrid.enumeration import (
-    GROWTH_BUDGET,
-    PREDICATES,
-    _PREDICATE_ORDER,
-    EnumSpec,
-    linear_convex_closure,
-)
+from supergrid.enumeration import GROWTH_BUDGET, PREDICATES, _PREDICATE_ORDER, EnumSpec
 from supergrid.errors import GenerationBudgetExhausted
 from supergrid.grid import Point, SupergridGraph, neighbors
+
+from reference_classify import linear_convex_closure
 
 
 def _satisfies(g: SupergridGraph, require: frozenset[str]) -> bool:

@@ -34,6 +34,8 @@ from conftest import (
     oracle_two_connected,
 )
 
+import reference_bitboard as ref
+
 
 def test_tables_for_3x3():
     box = bitboard.box(3, 3)
@@ -179,6 +181,57 @@ def test_closure_matches_point_closure_on_4x4_universe():
         assert closed & ~mask == point_mask(added, 4), mask
         grew += closed != mask
     assert grew > 30000
+
+
+def test_closure_matches_all_lines_reference_on_4x4_universe():
+    box = bitboard.box(4, 4)
+    for mask in range(1 << 16):
+        assert box.close(mask) == ref.close(box, mask), mask
+
+
+CLOSURE_BOXES = [(1, 9), (9, 1), (2, 7), (7, 2), (5, 3), (13, 5)]
+
+
+@pytest.mark.parametrize("width,height", CLOSURE_BOXES)
+def test_closure_matches_all_lines_reference_on_seeded_masks(width, height):
+    box = bitboard.box(width, height)
+    cells = width * height
+    rng = random.Random(f"closure/{width}x{height}")
+    grew = 0
+    for _ in range(3000):
+        # The smaller of two uniform sizes: mostly sparse masks, whose closures vary most.
+        size = min(rng.randint(1, cells), rng.randint(1, cells))
+        mask = sum(1 << i for i in rng.sample(range(cells), size))
+        closed = box.close(mask)
+        assert closed == ref.close(box, mask), mask
+        grew += closed != mask
+    assert grew > 300
+
+
+@pytest.mark.parametrize("width,height", [(4, 4), (5, 3)])
+def test_closure_from_one_fresh_cell_matches_reference(width, height):
+    box = bitboard.box(width, height)
+    cells = [1 << i for i in range(width * height)]
+    convex = [mask for mask in range(1 << width * height) if ref.close(box, mask) == mask]
+    grew = 0
+    for mask in convex:
+        for cell in cells:
+            if not mask & cell:
+                closed = box.close(mask, cell)
+                assert closed == ref.close(box, mask | cell), (mask, cell)
+                grew += closed != mask | cell
+    assert grew > 1000
+
+
+@pytest.mark.parametrize("width,height", [(4, 4), *CLOSURE_BOXES])
+def test_line_families_index_the_lines_through_each_cell(width, height):
+    box = bitboard.box(width, height)
+    rows, cols, diagonals, antidiagonals = box.line_families
+    assert [len(f) for f in box.line_families] == [height, width] + [width + height - 1] * 2
+    for i in range(width * height):
+        y, x = divmod(i, width)
+        indexed = [rows[y], cols[x], diagonals[y - x + width - 1], antidiagonals[x + y]]
+        assert sorted(filter(None, indexed)) == sorted(ln for ln in box.lines if ln >> i & 1), i
 
 
 def _random_graph_peak(require: set[str]):
