@@ -177,15 +177,15 @@ class Box:
                 return False
         return True
 
-    def close(self, mask: int, fresh: int | None = None) -> int:
-        """Smallest linearly convex superset of ``mask | fresh``, from a worklist of lines.
+    def close(self, mask: int, closed: int = 0) -> int:
+        """Smallest linearly convex superset of ``mask | closed``, from a worklist of lines.
 
-        Only lines through ``fresh`` cells (every line if None) are checked, so
-        the rest must be gap-free; each cell a line fill adds queues its lines.
-        The superset is unique, so the order of the fills cannot change it.
+        ``closed`` must be linearly convex, so only lines through ``mask`` cells
+        are checked; each cell a line fill adds queues its lines.  The superset
+        is unique, so the order of the fills cannot change it.
         """
-        todo, fresh = (list(self.lines), 0) if fresh is None else ([], fresh)
-        mask |= fresh
+        fresh, todo = mask, []
+        mask |= closed
         rows, cols, diagonals, antidiagonals = self.line_families
         while True:
             while fresh:

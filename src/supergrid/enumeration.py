@@ -187,7 +187,7 @@ def random_graph(spec: EnumSpec) -> SupergridGraph:
             break
         for _ in range(rng.randrange(fringe.bit_count())):
             fringe &= fringe - 1  # drop the lowest candidate
-        mask = kernel.close(mask, fringe & -fringe)
+        mask = kernel.close(fringe & -fringe, mask)
     raise GenerationBudgetExhausted(
         f"no {sorted(spec.require)} graph of >= {spec.min_vertices} vertices "
         f"found in {spec.width}x{spec.height} with seed {spec.seed}"

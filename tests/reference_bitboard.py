@@ -3,7 +3,7 @@
 ``Box.close`` rescanned every line of the box, round after round, until no
 line changed.  The library's closure works through a worklist of the lines
 through new cells instead; the differential tests check that both return the
-same mask, with and without ``fresh`` cells.
+same mask, closing whole masks and one new cell added to a closed mask.
 """
 
 from __future__ import annotations

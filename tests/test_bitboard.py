@@ -183,12 +183,6 @@ def test_closure_matches_point_closure_on_4x4_universe():
     assert grew > 30000
 
 
-def test_closure_matches_all_lines_reference_on_4x4_universe():
-    box = bitboard.box(4, 4)
-    for mask in range(1 << 16):
-        assert box.close(mask) == ref.close(box, mask), mask
-
-
 CLOSURE_BOXES = [(1, 9), (9, 1), (2, 7), (7, 2), (5, 3), (13, 5)]
 
 
@@ -217,7 +211,7 @@ def test_closure_from_one_fresh_cell_matches_reference(width, height):
     for mask in convex:
         for cell in cells:
             if not mask & cell:
-                closed = box.close(mask, cell)
+                closed = box.close(cell, mask)
                 assert closed == ref.close(box, mask | cell), (mask, cell)
                 grew += closed != mask | cell
     assert grew > 1000
