@@ -82,8 +82,8 @@ _PIVOT_OFFSETS = tuple(Direction[name].value for name in "L R U D UL UR DL DR".s
 
 _DIVERSION_DEPTH = 4
 
-# The oracle's search recurses once per cycle vertex; deeper bounds would run
-# into CPython's default limit of 1,000 frames.
+# The largest graph the oracle accepts: its search is exponential in general,
+# and it is tested up to this size (a 22x22 block, a 2x250 ladder).
 MAX_ORACLE_BOUND = 500
 
 
@@ -638,9 +638,9 @@ def brute_force_hamiltonian_mask(
     endpoint; any other step cannot cut what its parent found connected.  A
     prune removes only subtrees that hold no cycle, so it never changes which
     cycle is found first.  Returns the cycle as vertex numbers from the
-    anchor, or None.  The search recurses once per cycle vertex, so a
-    ``bound`` above :data:`MAX_ORACLE_BOUND` raises SizeBoundExceeded before
-    it starts.
+    anchor, or None.  The search is one loop over an explicit stack, not a
+    recursion; a ``bound`` above :data:`MAX_ORACLE_BOUND` raises
+    SizeBoundExceeded before it starts.
     """
     if bound > MAX_ORACLE_BOUND:
         raise SizeBoundExceeded(
@@ -656,55 +656,55 @@ def brute_force_hamiltonian_mask(
     closing = adjacency[path[0]]
     if (closing & vertices).bit_count() < 2:
         return None
-
-    def reachable(cur: int, free: int) -> bool:
-        seen = 1 << cur
-        frontier = seen
-        while frontier:
-            nxt = 0
-            f = frontier
+    # One entry per path vertex past the anchor: its parent's untried
+    # options and visited set, restored when the search backs up to the parent.
+    stack: list[tuple[int, int]] = []
+    cur, visited, touched = path[0], start, vertices
+    while True:
+        # Only vertices in ``touched`` (the parent's neighbours) can have lost
+        # a usable neighbour since the parent's node, which checked every
+        # other free vertex already.  At the root ``touched`` is every vertex.
+        adj = adjacency[cur]
+        free = vertices & ~visited
+        options = 0
+        if not free:
+            if adj & start:
+                return path
+        elif closing & free:
+            avail = free | (1 << cur) | start
+            f = free & touched
             while f:
                 low = f & -f
-                nxt |= adjacency[low.bit_length() - 1]
+                if (adjacency[low.bit_length() - 1] & avail).bit_count() < 2:
+                    break
                 f ^= low
-            nxt &= free | (1 << cur)
-            nxt &= ~seen
-            if not nxt:
-                break
-            seen |= nxt
-            frontier = nxt
-        return free & ~seen == 0
-
-    def search(cur: int, visited: int, touched: int) -> bool:
-        # Only vertices in ``touched`` can have lost a usable neighbour since
-        # the parent call, which checked every other free vertex already.
-        if visited == vertices:
-            return bool(adjacency[cur] & start)
-        free = vertices & ~visited
-        if not closing & free:
-            return False
-        avail = free | (1 << cur) | start
-        f = free & touched
-        while f:
-            low = f & -f
-            if (adjacency[low.bit_length() - 1] & avail).bit_count() < 2:
-                return False
-            f ^= low
-        # The parent found free, cur and its own endpoint connected, so
-        # dropping that endpoint cuts nothing when its other free neighbours
-        # (``touched & free``) all neighbour cur.  At the root ``touched`` is
-        # every vertex and nothing was found yet.
-        if touched & free & ~adjacency[cur] and not reachable(cur, free):
-            return False
-        options = adjacency[cur] & free
-        while options:
-            low = options & -options
-            nxt = low.bit_length() - 1
-            path.append(nxt)
-            if search(nxt, visited | low, adjacency[cur]):
-                return True
+            else:  # every touched free vertex kept two usable neighbours
+                options = adj & free
+                # The parent found free, cur and its own endpoint connected,
+                # so dropping that endpoint cuts nothing when its other free
+                # neighbours (``touched & free``) all neighbour cur.  At the
+                # root nothing was found yet.
+                if touched & free & ~adj:
+                    left, frontier = free, 1 << cur  # left: free, not yet reached
+                    while frontier and left:
+                        nxt = 0
+                        while frontier:
+                            low = frontier & -frontier
+                            nxt |= adjacency[low.bit_length() - 1]
+                            frontier ^= low
+                        frontier = nxt & left
+                        left ^= frontier
+                    if left:
+                        options = 0
+        while not options:
+            if not stack:
+                return None
             path.pop()
-            options ^= low
-        return False
-
-    return path if search(path[0], start, vertices) else None
+            options, visited = stack.pop()
+            adj = adjacency[path[-1]]
+        low = options & -options
+        stack.append((options ^ low, visited))
+        cur = low.bit_length() - 1
+        path.append(cur)
+        visited |= low
+        touched = adj

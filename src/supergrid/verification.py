@@ -133,18 +133,18 @@ def run_box_suite(width: int, height: int, oracle_limit: int = 12) -> SuiteRepor
     2-connectivity is read from the box's subset table, one byte per subset
     (2**(width*height) bytes, 32 MB at the 25-cell cap), held for the sweep.
     """
-    report = SuiteReport(width=width, height=height)
     masks = box_masks(width, height)  # the cap check comes before any table is built
+    report = SuiteReport(width=width, height=height, total_subsets=len(masks))
     box = bitboard.box(width, height)
+    is_linear_convex, neighbours = box.is_linear_convex, box.neighbours
+    linear_convex = two_connected = oracle_checked = 0  # per-mask counts, stored at the end
     for mask, tc in box.two_connected_sweep(masks):
-        report.total_subsets += 1
-        lc = box.is_linear_convex(mask)
+        lc = is_linear_convex(mask)
         if lc:
-            report.linear_convex += 1
+            linear_convex += 1
             if box.forced_vertex_violations(mask):
                 report.forced_vertex_violations.append(mask)
-        if tc:
-            report.two_connected += 1
+        two_connected += tc
         solved = False
         if lc and tc:
             report.strict_instances += 1
@@ -158,11 +158,11 @@ def run_box_suite(width: int, height: int, oracle_limit: int = 12) -> SuiteRepor
             for name, count in counts.items():
                 report.rule_counts[name] += count
         if mask.bit_count() <= oracle_limit:
-            report.oracle_checked += 1
+            oracle_checked += 1
             # box_masks caps a box at EXHAUSTIVE_CELL_CAP cells, past the oracle's default bound.
-            oracle_cycle = brute_force_hamiltonian_mask(box.neighbours, mask, EXHAUSTIVE_CELL_CAP)
-            if not tc and oracle_cycle is not None:
+            oracle_cycle = brute_force_hamiltonian_mask(neighbours, mask, EXHAUSTIVE_CELL_CAP)
+            if (oracle_cycle is not None and not tc) or (oracle_cycle is None and solved):
                 report.oracle_mismatches.append(mask)
-            if solved and oracle_cycle is None:
-                report.oracle_mismatches.append(mask)
+    report.linear_convex, report.two_connected = linear_convex, two_connected
+    report.oracle_checked = oracle_checked
     return report

@@ -4,17 +4,23 @@ The library's oracle prunes a branch as soon as no free vertex neighbours
 the anchor, and gives up at once on an anchor with fewer than two
 neighbours.  Those prunes remove only subtrees without a cycle, and the
 children are still tried in ascending order, so the first cycle found, or
-None, must be exactly the reference's (``tests/reference_oracle.py``).
+None, must be exactly the reference's (``tests/reference_oracle.py``).  The
+library's search is also one loop over an explicit stack where the
+reference recurses, which the last test checks at the supported depth.
 """
 
 from __future__ import annotations
 
+import inspect
 import random
+import sys
+
+import pytest
 
 from supergrid import bitboard
 from supergrid.enumeration import EnumSpec, random_graph
 from supergrid.grid import vertex_ids
-from supergrid.hamiltonian import brute_force_hamiltonian_mask
+from supergrid.hamiltonian import MAX_ORACLE_BOUND, brute_force_hamiltonian_mask
 
 import reference_oracle
 
@@ -29,14 +35,23 @@ def _assert_same_answers(neighbours, masks, bound: int = 24) -> int:
     return found
 
 
-def test_oracle_matches_reference_on_3x3_universe():
-    assert _assert_same_answers(bitboard.box(3, 3).neighbours, range(1 << 9)) == 144
+@pytest.mark.parametrize("width, height, cycles", [
+    (3, 3, 144), (3, 5, 3040), (5, 3, 3040), (2, 8, 224), (8, 2, 224),
+])
+def test_oracle_matches_reference_on_box_universe(width, height, cycles):
+    neighbours = bitboard.box(width, height).neighbours
+    assert _assert_same_answers(neighbours, range(1 << (width * height))) == cycles
 
 
-def test_oracle_matches_reference_on_4x4_subsets_up_to_12_vertices():
-    masks = [m for m in range(1 << 16) if m.bit_count() <= 12]
-    assert len(masks) == 64839
-    assert _assert_same_answers(bitboard.box(4, 4).neighbours, masks) == 7896
+def test_oracle_matches_reference_on_4x4_universe():
+    # Every subset, as ``verify --box 4x4 --oracle-limit 16`` checks them:
+    # 8,433 have a cycle, 7,896 of them among the 64,839 of at most 12 cells.
+    neighbours = bitboard.box(4, 4).neighbours
+    small = [m for m in range(1 << 16) if m.bit_count() <= 12]
+    assert len(small) == 64839
+    assert _assert_same_answers(neighbours, small) == 7896
+    large = (m for m in range(1 << 16) if m.bit_count() > 12)
+    assert _assert_same_answers(neighbours, large) == 537
 
 
 def test_oracle_matches_reference_on_seeded_5x5_masks():
@@ -56,3 +71,19 @@ def test_oracle_matches_reference_on_seeded_5x5_masks():
         adjacency = [sum(1 << j for j in row) for row in nbrs]
         found += _assert_same_answers(adjacency, [(1 << len(verts)) - 1], 25)
     assert found > 100
+
+
+def test_oracle_runs_at_supported_depth_without_recursing():
+    # The cycle of a 2x250 ladder has MAX_ORACLE_BOUND vertices; a search that
+    # took a frame per path vertex would overflow the lowered limit.
+    neighbours = bitboard.box(250, 2).neighbours
+    ladder = (1 << 500) - 1
+    expected = reference_oracle.brute_force_hamiltonian_mask(neighbours, ladder, MAX_ORACLE_BOUND)
+    assert expected is not None and len(expected) == 500
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        found = brute_force_hamiltonian_mask(neighbours, ladder, MAX_ORACLE_BOUND)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert found == expected
