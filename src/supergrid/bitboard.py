@@ -14,8 +14,8 @@ order is the (y, x) vertex order used everywhere else in the library.  A
 * ``neighbours[i]``: the king-move neighbour mask of cell i.
 
 ``neighbours`` takes W*H bits per cell, so it is built on first use, only by
-the oracle and the 2-connectivity table of ``verify`` and ``enumerate_graphs``;
-the line tables grow linearly with the box.
+the oracle and the subset table every box pass reads its connectivity from
+(``verify``, ``enumerate``); the line tables grow linearly with the box.
 
 Connectivity is a flood fill by king-move dilation, done with shifts and
 column masks over the whole board; the same dilation gives the fringe of a
@@ -131,8 +131,8 @@ class Box:
                 return False
         return True
 
-    def two_connected_sweep(self, masks: Iterable[int]) -> Iterator[tuple[int, bool]]:
-        """Each mask with its 2-connectivity, decided from its one-smaller submasks.
+    def two_connected_sweep(self, masks: Iterable[int]) -> Iterator[tuple[int, bool, bool]]:
+        """Each mask with its connectivity and 2-connectivity, from its one-smaller submasks.
 
         A subset with two or more cells is connected iff dropping some cell v
         leaves it connected and holding a neighbour of v (take v a leaf of a
@@ -142,7 +142,7 @@ class Box:
         at 4x4, 1 MB at 5x4, 32 MB at 25 cells.  An ascending sweep has always
         met every submask already; one it has not met, as in a partial or
         shuffled mask list, is flooded once with :meth:`is_connected`.
-        Answers as :meth:`is_two_connected`, the reference it is tested against.
+        Answers as its references :meth:`is_connected` and :meth:`is_two_connected`.
         """
         known = bytearray(1 << (self.width * self.height))
         neighbours = self.neighbours
@@ -163,7 +163,7 @@ class Box:
                 elif not connected and neighbours[low.bit_length() - 1] & rest:
                     connected = True
             known[mask] = 2 if connected else 1
-            yield mask, no_cut and mask.bit_count() >= 3
+            yield mask, connected, no_cut and mask.bit_count() >= 3
 
     def is_linear_convex(self, mask: int) -> bool:
         """True iff every lattice line meets the subset in one contiguous run.

@@ -15,13 +15,16 @@ import argparse
 import csv
 import functools
 import sys
+from collections import Counter
+from contextlib import nullcontext
 
 from . import bitboard
 from .classify import classify
-from .enumeration import PREDICATES, EnumSpec, enumerate_graphs
+# perfbench/layers.py wraps enumerate_graphs on this module, hence the import.
+from .enumeration import PREDICATES, EnumSpec, _box_subsets, box_masks, enumerate_graphs  # noqa: F401
 from .errors import SupergridError
 from .grid import MAX_COORD
-from .hamiltonian import ExtensionTrace, brute_force_hamiltonian, find_hamiltonian_cycle
+from .hamiltonian import brute_force_hamiltonian, find_hamiltonian_cycle
 from .lattice_io import (
     export_svg,
     parse_lattice,
@@ -29,7 +32,7 @@ from .lattice_io import (
     trace_to_jsonl,
     write_cycle,
 )
-from .verification import run_box_suite, solve_with_growth_check
+from .verification import SuiteReport, _tally_solve, run_box_suite
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -114,37 +117,25 @@ def _cmd_enumerate(args) -> int:
     unknown = require - set(PREDICATES)
     if unknown:
         raise SupergridError(f"unknown predicates: {','.join(sorted(unknown))}")
-    spec = EnumSpec(
-        width=width,
-        height=height,
-        min_vertices=args.min_vertices,
-        require=require,
-        dedup_symmetry=args.dedup,
-    )
-    totals = dict.fromkeys(PREDICATES, 0)
-    rules = ExtensionTrace().rule_counts()
-    count = hamiltonian_found = 0
-    side = max(width, height)  # a --dedup canonical form may leave WxH, never side x side
-    for g in enumerate_graphs(spec):
-        count += 1
-        kernel = bitboard.box(side, side)  # fetched once enumerate_graphs passed the cap
-        mask = sum(1 << (v.y * side + v.x) for v in g.vertices)
-        holds = {name: getattr(kernel, "is_" + name)(mask) for name in totals}
-        totals = {name: n + holds[name] for name, n in totals.items()}
-        if holds["two_connected"] and holds["linear_convex"]:
-            solved, _, counts = solve_with_growth_check(g)
-            hamiltonian_found += solved
-            for name, n in counts.items():
-                rules[name] += n
-    row = {
-        "box": f"{width}x{height}",
-        "total": count,
-        **totals,
-        "hamiltonian_found": hamiltonian_found,
-        **{"rule_" + name.lower(): n for name, n in rules.items()},
-    }
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as handle:
+    box_masks(width, height)  # the cap check comes before the CSV file is created
+    spec = EnumSpec(width, height, args.min_vertices, require, args.dedup)
+    kernel = bitboard.box(width, height)
+    totals = Counter(dict.fromkeys(("total", *PREDICATES), 0))  # in CSV column order
+    tally = SuiteReport(width, height)
+    with open(args.csv, "w", encoding="utf-8", newline="") if args.csv else nullcontext() as handle:
+        # Every predicate is invariant under the symmetries, so a --dedup class is
+        # judged on its first mask; only the rule counts need its canonical form.
+        for mask, connected, two_connected, canon in _box_subsets(spec):
+            linear_convex = kernel.is_linear_convex(mask)
+            totals.update({"total": True, "connected": connected, "two_connected": two_connected,
+                           "linear_convex": linear_convex,
+                           "locally_connected": kernel.is_locally_connected(mask)})
+            if two_connected and linear_convex:
+                _tally_solve(tally, mask, canon or bitboard.mask_to_graph(mask, width))
+        row = {"box": f"{width}x{height}", **totals,
+               "hamiltonian_found": tally.strict_instances - len(tally.solve_failures),
+               **{"rule_" + name.lower(): n for name, n in tally.rule_counts.items()}}
+        if handle:
             writer = csv.DictWriter(handle, fieldnames=list(row))
             writer.writeheader()
             writer.writerow(row)

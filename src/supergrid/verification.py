@@ -14,11 +14,9 @@ One streaming pass over the subset bitmasks drives four checks at once:
 The pass runs on masks: every predicate comes from the
 :mod:`supergrid.bitboard` kernel, and only the strict instances become
 ``SupergridGraph`` objects, handed to the solver's seed-and-extend core
-without re-running its ``Point`` precheck.  2-connectivity comes from
-:meth:`~supergrid.bitboard.Box.two_connected_sweep`, which decides each mask
-from its one-smaller submasks, met earlier in the ascending pass, and keeps
-one byte per subset of the box: 64 KB at 4x4, 1 MB at 5x4, 32 MB at the
-25-cell cap.  The ``Point`` predicates of :mod:`supergrid.classify` stay the
+without re-running its ``Point`` precheck.  2-connectivity comes from the
+box's subset table, :meth:`~supergrid.bitboard.Box.two_connected_sweep`, as
+in ``enumerate``.  The ``Point`` predicates of :mod:`supergrid.classify` stay the
 general-input API and the reference the kernel is tested against.  The
 oracle searches the same masks with adjacency from the kernel's neighbour
 table and reads none of the sweep's predicates; it shares no code with the
@@ -126,6 +124,19 @@ def solve_with_growth_check(g: SupergridGraph) -> tuple[bool, bool, dict[str, in
     return True, lengths == list(range(3, len(g))), result.trace.rule_counts()
 
 
+def _tally_solve(report: SuiteReport, mask: int, g: SupergridGraph) -> bool:
+    """Count strict instance ``g`` of ``mask`` in ``report`` and solve it; True iff solved."""
+    report.strict_instances += 1
+    solved, monotone, counts = solve_with_growth_check(g)
+    if not solved:
+        report.solve_failures.append(mask)
+    if not monotone:
+        report.growth_violations.append(mask)
+    for name, count in counts.items():
+        report.rule_counts[name] += count
+    return solved
+
+
 def run_box_suite(width: int, height: int, oracle_limit: int = 12) -> SuiteReport:
     """Single-threaded sweep of every subset of the width x height box.
 
@@ -138,7 +149,7 @@ def run_box_suite(width: int, height: int, oracle_limit: int = 12) -> SuiteRepor
     box = bitboard.box(width, height)
     is_linear_convex, neighbours = box.is_linear_convex, box.neighbours
     linear_convex = two_connected = oracle_checked = 0  # per-mask counts, stored at the end
-    for mask, tc in box.two_connected_sweep(masks):
+    for mask, _, tc in box.two_connected_sweep(masks):
         lc = is_linear_convex(mask)
         if lc:
             linear_convex += 1
@@ -147,16 +158,9 @@ def run_box_suite(width: int, height: int, oracle_limit: int = 12) -> SuiteRepor
         two_connected += tc
         solved = False
         if lc and tc:
-            report.strict_instances += 1
             if not box.is_locally_connected(mask):
                 report.local_connectivity_violations.append(mask)
-            solved, monotone, counts = solve_with_growth_check(mask_to_graph(mask, width))
-            if not solved:
-                report.solve_failures.append(mask)
-            if not monotone:
-                report.growth_violations.append(mask)
-            for name, count in counts.items():
-                report.rule_counts[name] += count
+            solved = _tally_solve(report, mask, mask_to_graph(mask, width))
         if mask.bit_count() <= oracle_limit:
             oracle_checked += 1
             # box_masks caps a box at EXHAUSTIVE_CELL_CAP cells, past the oracle's default bound.

@@ -345,6 +345,19 @@ def test_cli_enumerate_csv(tmp_path, capsys):
     assert values["rule_fallback_search"] == "0"
 
 
+def test_cli_enumerate_reports_a_bad_csv_path_before_the_sweep(tmp_path, capsys):
+    try:
+        open(tmp_path, "w")
+    except OSError as exc:
+        expected = f"error: {exc}\n"
+    start = time.perf_counter()
+    code = run_cli(["enumerate", "--box", "5x4", "--csv", str(tmp_path)])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (1, "", expected)
+    assert elapsed < 1.0, f"{elapsed:.2f} s: the 2**20-subset sweep ran before the CSV was opened"
+
+
 def test_cli_enumerate_rejects_unknown_predicate(capsys):
     assert run_cli(["enumerate", "--box", "2x2", "--require", "sparkly"]) == 1
     assert "sparkly" in capsys.readouterr().err

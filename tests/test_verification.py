@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import json
+import os
+import re
+
+import pytest
+
 import supergrid.hamiltonian
 from supergrid import (
     Cycle,
@@ -22,6 +28,8 @@ from supergrid.verification import (
 )
 
 from conftest import P, block, pts
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def test_mask_to_graph_row_major():
@@ -96,3 +104,19 @@ def test_growth_check_wants_one_step_per_length_from_3(monkeypatch):
         result = HamiltonianResult(status="cycle", cycle=found.cycle, trace=ExtensionTrace(steps))
         monkeypatch.setattr(verification, "_seed_and_extend", lambda g, *args: result)
         assert solve_with_growth_check(g) == (True, monotone, result.trace.rule_counts())
+
+
+# 5x5, 4x6 and 3x8 are whole 25-cell-cap sweeps, too slow for this suite; CI
+# reruns them against these goldens' digests.
+@pytest.mark.parametrize("box", ["4x4", "5x5", "4x6", "3x8"])
+def test_rule_frequency_file_agrees_with_verify_golden(box):
+    with open(os.path.join(GOLDEN, f"verify_{box}.txt"), encoding="utf-8") as fh:
+        summary = fh.read()
+    with open(os.path.join(GOLDEN, f"rule_frequencies_{box}.json"), encoding="utf-8") as fh:
+        table = json.load(fh)
+    counts = re.search(r"^rule counts: (.*)$", summary, re.M).group(1)
+    strict = re.search(r"^strict instances \(two_connected & linear_convex\): (\d+)$",
+                       summary, re.M).group(1)
+    expected = {name: int(n) for name, n in (pair.split("=") for pair in counts.split(", "))}
+    assert table == {**expected, "strict_instances": int(strict)}
+    assert table["FALLBACK_SEARCH"] == 0 and "violations: 0" in summary
