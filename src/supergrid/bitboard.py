@@ -22,9 +22,9 @@ column masks over the whole board; the same dilation gives the fringe of a
 subset.  The linear-convex closure fills lines from a worklist, each between
 its lowest and highest member, and queues the lines through each cell it
 adds, so closing after one new cell checks only that cell's lines.  Local
-connectivity and forced vertices read one set of direction masks; local
-connectivity looks each vertex's 8-bit pattern up in the 256-entry table
-shared with :mod:`supergrid.classify`, whose conventions the predicates follow.
+connectivity and forced vertices read one set of eight direction masks, local
+connectivity through the ring rule :func:`~supergrid.grid.ring_cuts` on every
+vertex at once; the predicates follow :mod:`supergrid.classify`'s conventions.
 
 This is the fast path for box sweeps and seeded growth.  The ``Point``
 predicates in :mod:`supergrid.classify` remain the general-input API (sparse
@@ -37,7 +37,7 @@ from __future__ import annotations
 import functools
 from typing import Iterable, Iterator
 
-from .grid import FORCED_VERTEX_PATTERNS, OFFSETS, Point, SupergridGraph
+from .grid import FORCED_VERTEX_PATTERNS, OFFSETS, Point, SupergridGraph, ring_cuts
 
 
 @functools.lru_cache(maxsize=4096)
@@ -203,22 +203,15 @@ class Box:
 
     def _near(self, mask: int) -> tuple[int, ...]:
         """Per Direction d, the cells whose d neighbour is in the subset."""
-        # Shifting by dx = +-1 wraps row ends onto the next row; the column masks drop those.
-        cols = {-1: self._not_first_col, 0: self.full, 1: self._not_last_col}
-        shifts = ((dy * self.width + dx, cols[dx]) for dx, dy in OFFSETS)
-        return tuple((mask >> s if s >= 0 else mask << -s) & col for s, col in shifts)
+        # Shifting by one column wraps row ends onto the next row; the column masks drop those.
+        width, full = self.width, self.full
+        left, right = mask << 1 & self._not_first_col, mask >> 1 & self._not_last_col
+        return (left << width & full, mask << width & full, right << width & full, left, right,
+                left >> width, mask >> width, right >> width)
 
     def is_locally_connected(self, mask: int) -> bool:
-        """True iff the induced neighbourhood of every vertex is connected."""
-        table = local_table()
-        near = self._near(mask)
-        m = mask
-        while m:
-            low = m & -m
-            m ^= low
-            if not table[sum(1 << d for d, cells in enumerate(near) if cells & low)]:
-                return False
-        return True
+        """True iff no vertex's induced neighbourhood is cut (:func:`~supergrid.grid.ring_cuts`)."""
+        return not ring_cuts(*self._near(mask)) & mask
 
     def forced_vertex_violations(self, mask: int) -> list[tuple[int, int]]:
         """(vertex, missing forced neighbour) cell pairs, as in verification.
@@ -246,15 +239,4 @@ def box(width: int, height: int) -> Box:
     if width < 1 or height < 1:
         raise ValueError("box dimensions must be positive")
     return Box(width, height)
-
-
-@functools.lru_cache(maxsize=1)
-def local_table() -> tuple[bool, ...]:
-    """Connectedness of every 8-bit neighbourhood pattern, centre excluded."""
-    ring = box(3, 3)
-    cells = [1 << ((dy + 1) * 3 + dx + 1) for dx, dy in OFFSETS]
-    return tuple(
-        ring.is_connected(sum(c for d, c in enumerate(cells) if pattern >> d & 1))
-        for pattern in range(256)
-    )
 

@@ -11,7 +11,8 @@ these, so they are library choices, stated here and tested):
   :func:`~supergrid.grid.vertex_ids` reports both whether it reached every
   vertex and whether it met a cut vertex; connectivity is the same DFS;
 * empty and singleton induced neighborhoods count as connected, so vertices
-  of degree 0 or 1 do not by themselves fail local connectivity.
+  of degree 0 or 1 do not by themselves fail local connectivity, which is
+  decided per vertex by the ring rule :func:`~supergrid.grid.ring_cuts`.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
 
-from .bitboard import local_table
-from .grid import OFFSETS, Point, SupergridGraph, vertex_ids
+from .grid import OFFSETS, Point, SupergridGraph, ring_cuts, vertex_ids
 
 
 class LineDirection(Enum):
@@ -183,13 +183,12 @@ def is_two_connected(g: SupergridGraph, nbrs: Sequence[Sequence[int]] | None = N
 def local_connectivity_violation(g: SupergridGraph) -> ViolationWitness | None:
     """First vertex (lex order) whose induced neighborhood is disconnected.
 
-    A vertex's neighbourhood is its 8-bit pattern (bit d for the neighbour in
-    Direction d), looked up in :func:`~supergrid.bitboard.local_table`.
+    A vertex's eight neighbour memberships, in Direction order, go through
+    the ring rule :func:`~supergrid.grid.ring_cuts`.
     """
-    table, cells = local_table(), {(p.x, p.y) for p in g.vertices}
+    cells = {(p.x, p.y) for p in g.vertices}
     for v in g.sorted_vertices():
-        pattern = sum(1 << d for d, (dx, dy) in enumerate(OFFSETS) if (v.x + dx, v.y + dy) in cells)
-        if not table[pattern]:
+        if ring_cuts(*[(v.x + dx, v.y + dy) in cells for dx, dy in OFFSETS]):
             return ViolationWitness(predicate="locally_connected", points=(v,))
     return None
 

@@ -15,7 +15,6 @@ import argparse
 import csv
 import functools
 import sys
-from collections import Counter
 from contextlib import nullcontext
 
 from . import bitboard
@@ -120,19 +119,23 @@ def _cmd_enumerate(args) -> int:
     box_masks(width, height)  # the cap check comes before the CSV file is created
     spec = EnumSpec(width, height, args.min_vertices, require, args.dedup)
     kernel = bitboard.box(width, height)
-    totals = Counter(dict.fromkeys(("total", *PREDICATES), 0))  # in CSV column order
+    total = n_connected = n_two_connected = n_linear_convex = n_locally_connected = 0
     tally = SuiteReport(width, height)
     with open(args.csv, "w", encoding="utf-8", newline="") if args.csv else nullcontext() as handle:
         # Every predicate is invariant under the symmetries, so a --dedup class is
         # judged on its first mask; only the rule counts need its canonical form.
         for mask, connected, two_connected, canon in _box_subsets(spec):
             linear_convex = kernel.is_linear_convex(mask)
-            totals.update({"total": True, "connected": connected, "two_connected": two_connected,
-                           "linear_convex": linear_convex,
-                           "locally_connected": kernel.is_locally_connected(mask)})
+            total += 1
+            n_connected += connected
+            n_two_connected += two_connected
+            n_linear_convex += linear_convex
+            n_locally_connected += kernel.is_locally_connected(mask)
             if two_connected and linear_convex:
                 _tally_solve(tally, mask, canon or bitboard.mask_to_graph(mask, width))
-        row = {"box": f"{width}x{height}", **totals,
+        row = {"box": f"{width}x{height}", "total": total,  # then the PREDICATES order
+               "connected": n_connected, "two_connected": n_two_connected,
+               "linear_convex": n_linear_convex, "locally_connected": n_locally_connected,
                "hamiltonian_found": tally.strict_instances - len(tally.solve_failures),
                **{"rule_" + name.lower(): n for name, n in tally.rule_counts.items()}}
         if handle:

@@ -5,8 +5,8 @@ in row-major order (bit i = cell (i % width, i // width)), ascending, which
 makes the enumeration order part of the external contract.  The pass builds
 the box's subset table (one byte per subset) for connectivity and asks the
 :mod:`supergrid.bitboard` kernel the rest.  The box is capped at 25 cells;
-``verify`` takes 0.43 s on 4x4 and 3.7 s on 5x4, ``enumerate`` 0.66 s and
-8.4 s (medians of 3, one core of a shared 2-core Xeon VM, CPython 3.11.7).
+``verify`` takes 0.43 s on 4x4 and 3.7 s on 5x4, ``enumerate`` 0.34 s and
+3.1 s (medians of 3, one core of a shared 2-core Xeon VM, CPython 3.11.7).
 
 Randomized mode grows a connected blob cell by cell and then repairs it to
 linear convexity by closing every line gap; uniform subsets of useful size

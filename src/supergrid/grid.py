@@ -80,6 +80,20 @@ FORCED_VERTEX_PATTERNS: tuple[tuple[tuple[int, int], ...], ...] = tuple(
 )
 
 
+def ring_cuts(ul: int, u: int, ur: int, l: int, r: int, dl: int, d: int, dr: int) -> int:
+    """Nonzero where the neighbourhood N(v) with these members (Direction order) is disconnected.
+
+    The side cells of N(v) form a 4-cycle and each corner touches only its two
+    flanking sides, so N(v) is disconnected iff some present corner has neither
+    flank and N(v) has another cell, or its present sides are exactly one
+    opposite pair.  Works bitwise: on 0/1 bits for one vertex, or on masks
+    holding one bit per vertex; every ``~`` is ANDed with a non-negative term.
+    """
+    lone = ul & ~(u | l) | ur & ~(u | r) | dl & ~(d | l) | dr & ~(d | r)
+    another = u | l | r | d | (ul | dr) & (ur | dl) | ul & dr | ur & dl
+    return lone & another | (u & d | l & r) & ~((u | d) & (l | r))
+
+
 def adjacent(u: Point, v: Point) -> bool:
     """True iff u and v are distinct and differ by at most 1 in x and in y."""
     if u.x == v.x and u.y == v.y:

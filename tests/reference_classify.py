@@ -4,9 +4,9 @@ Connectivity was a BFS and 2-connectivity a lowpoint DFS, both walking
 ``Point`` objects through ``grid.neighbors`` and hashing every one they
 met; local connectivity ran that BFS on each vertex's induced neighbourhood.
 The library now runs one lowpoint DFS over the integer neighbour lists of
-``grid.vertex_ids`` and reads each neighbourhood's 8-bit pattern from
-``bitboard.local_table``; the differential tests check that it answers
-exactly as these do, and that the solver's precheck fails the same
+``grid.vertex_ids`` and applies the ring rule ``grid.ring_cuts`` to each
+vertex's eight neighbour memberships; the differential tests check that it
+answers exactly as these do, and that the solver's precheck fails the same
 predicate first.
 
 ``line_gaps`` sorted every line's bucket; the library's takes the points in

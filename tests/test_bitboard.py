@@ -19,8 +19,8 @@ from supergrid import (
     random_graph,
 )
 from supergrid import bitboard
-from supergrid.bitboard import local_table, mask_to_graph
-from supergrid.grid import OFFSETS
+from supergrid.bitboard import mask_to_graph
+from supergrid.grid import OFFSETS, ring_cuts
 from supergrid.hamiltonian import brute_force_hamiltonian_mask
 from supergrid.verification import forced_vertex_violations
 
@@ -69,10 +69,21 @@ def test_line_masks_match_per_bit_construction(width, height):
 
 
 def test_local_table_matches_oracle():
+    # The ring rule on every 8-bit pattern, against the naive oracle and the
+    # table of 3x3 floods it replaced.
     for pattern in range(256):
         points = [P(dx, dy) for d, (dx, dy) in enumerate(OFFSETS) if pattern >> d & 1]
-        assert local_table()[pattern] == oracle_connected(points), pattern
-    assert not local_table()[0b1000_0001]  # UL and DR alone
+        connected = not ring_cuts(*(pattern >> d & 1 for d in range(8)))
+        assert connected == oracle_connected(points) == ref.local_table()[pattern], pattern
+    assert ring_cuts(1, 0, 0, 0, 0, 0, 0, 1)  # UL and DR alone
+    assert ring_cuts(0, 1, 0, 0, 0, 0, 1, 0)  # U and D alone
+
+
+@pytest.mark.parametrize("width,height", [(4, 4), (5, 3), (3, 5), (2, 6), (6, 2), (1, 7)])
+def test_ring_rule_matches_local_table_on_whole_boxes(width, height):
+    box = bitboard.box(width, height)
+    for mask in range(1 << (width * height)):
+        assert box.is_locally_connected(mask) == ref.is_locally_connected(box, mask), mask
 
 
 def test_kernel_matches_oracles_on_3x3_universe():

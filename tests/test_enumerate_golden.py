@@ -7,7 +7,8 @@ with ``--dedup``, the only path that yields canonical forms instead of the
 box subsets themselves; on the 4x3 box some of those forms are rotated out
 of the box (the predicates are judged on each class's first subset, the
 solve on the canonical form).  ``--require connected`` pins the one filter
-read from the subset table's connectivity flag alone.
+read from the subset table's connectivity flag alone, and ``--require
+locally_connected`` the one filter read from the kernel's local connectivity.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
     ("enumerate_3x3_min3_dedup", ["--box", "3x3", "--min", "3", "--dedup"]),
     ("enumerate_4x3_min5_dedup", ["--box", "4x3", "--min", "5", "--dedup"]),
     ("enumerate_4x4_connected", ["--box", "4x4", "--require", "connected"]),
+    ("enumerate_4x4_locally_connected", ["--box", "4x4", "--require", "locally_connected"]),
 ])
 def test_cli_enumerate_matches_golden(tmp_path, capsys, name, argv):
     out_csv = tmp_path / "summary.csv"
@@ -53,7 +55,6 @@ def test_cli_enumerate_decodes_only_the_strict_subsets(monkeypatch, capsys):
         raise AssertionError("enumerate flooded a subset")
 
     original = bitboard.mask_to_graph
-    bitboard.local_table()  # built once per process from 3x3 floods, before the patch
     for module in (bitboard, enumeration, cli):
         if hasattr(module, "mask_to_graph"):
             monkeypatch.setattr(module, "mask_to_graph", counting)
