@@ -15,7 +15,8 @@ order is the (y, x) vertex order used everywhere else in the library.  A
 
 ``neighbours`` takes W*H bits per cell, so it is built on first use, only by
 the oracle and the subset table every box pass reads its connectivity from
-(``verify``, ``enumerate``); the line tables grow linearly with the box.
+(``verify``, ``enumerate``): one connected flag byte per subset, filled by one
+ascending walk over the whole box.  The line tables grow linearly with the box.
 
 Connectivity is a flood fill by king-move dilation, done with shifts and
 column masks over the whole board; the same dilation gives the fringe of a
@@ -35,7 +36,7 @@ tested against.
 from __future__ import annotations
 
 import functools
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .grid import FORCED_VERTEX_PATTERNS, OFFSETS, Point, SupergridGraph, ring_cuts
 
@@ -131,23 +132,20 @@ class Box:
                 return False
         return True
 
-    def two_connected_sweep(self, masks: Iterable[int]) -> Iterator[tuple[int, bool, bool]]:
-        """Each mask with its connectivity and 2-connectivity, from its one-smaller submasks.
+    def two_connected_sweep(self) -> Iterator[tuple[int, bool, bool]]:
+        """Every subset of the box, ascending, with its connectivity and 2-connectivity.
 
         A subset with two or more cells is connected iff dropping some cell v
         leaves it connected and holding a neighbour of v (take v a leaf of a
         spanning tree); it is 2-connected iff it has three or more cells and
-        every such drop leaves it connected.  One byte per subset of the box
-        records what is known (0 unknown, 1 disconnected, 2 connected): 64 KB
-        at 4x4, 1 MB at 5x4, 32 MB at 25 cells.  An ascending sweep has always
-        met every submask already; one it has not met, as in a partial or
-        shuffled mask list, is flooded once with :meth:`is_connected`.
-        Answers as its references :meth:`is_connected` and :meth:`is_two_connected`.
+        every such drop leaves it connected.  The walk ascends over the whole
+        box, so it meets every one-smaller submask first; one byte per subset
+        holds its connected flag (0 or 1): 64 KB at 4x4, 1 MB at 5x4, 32 MB at
+        25 cells.  Answers as its references :meth:`is_connected` and :meth:`is_two_connected`.
         """
-        known = bytearray(1 << (self.width * self.height))
+        connected_flags = bytearray(self.full + 1)
         neighbours = self.neighbours
-        is_connected = self.is_connected
-        for mask in masks:
+        for mask in range(self.full + 1):
             no_cut = True
             connected = mask & (mask - 1) == 0  # at most one cell
             m = mask
@@ -155,14 +153,11 @@ class Box:
                 low = m & -m
                 m ^= low
                 rest = mask ^ low
-                state = known[rest]
-                if not state:
-                    state = known[rest] = 2 if is_connected(rest) else 1
-                if state == 1:
+                if not connected_flags[rest]:
                     no_cut = False
                 elif not connected and neighbours[low.bit_length() - 1] & rest:
                     connected = True
-            known[mask] = 2 if connected else 1
+            connected_flags[mask] = connected
             yield mask, connected, no_cut and mask.bit_count() >= 3
 
     def is_linear_convex(self, mask: int) -> bool:

@@ -5,8 +5,9 @@ in row-major order (bit i = cell (i % width, i // width)), ascending, which
 makes the enumeration order part of the external contract.  The pass builds
 the box's subset table (one byte per subset) for connectivity and asks the
 :mod:`supergrid.bitboard` kernel the rest.  The box is capped at 25 cells;
-``verify`` takes 0.43 s on 4x4 and 3.7 s on 5x4, ``enumerate`` 0.34 s and
-3.1 s (medians of 3, one core of a shared 2-core Xeon VM, CPython 3.11.7).
+``verify`` takes 0.70 s on 4x4 and 6.2 s on 5x4, ``enumerate`` 0.55 s and
+4.5 s (medians of 5 whole-process runs, one core of a busy shared 2-core
+Intel Xeon VM, CPython 3.11.7).
 
 Randomized mode grows a connected blob cell by cell and then repairs it to
 linear convexity by closing every line gap; uniform subsets of useful size
@@ -88,20 +89,23 @@ def _box_subsets(spec: EnumSpec) -> Iterator[tuple[int, bool, bool, SupergridGra
     ``require`` from the kernel.  With ``dedup_symmetry`` only the first mask
     of each class is kept, with its ``canonical_form``.
     """
-    masks = box_masks(spec.width, spec.height)
+    box_masks(spec.width, spec.height)  # the cap check comes before any table is built
     kernel = bitboard.box(spec.width, spec.height)
     checks = _mask_checks(kernel, spec.require - {"connected", "two_connected"})
-    need_connected, need_two_connected = ("connected" in spec.require,
-                                          "two_connected" in spec.require)
-    seen: set[SupergridGraph] = set()
-    for mask, connected, two_connected in kernel.two_connected_sweep(masks):
-        if ((need_two_connected and not two_connected) or (need_connected and not connected)
-                or mask.bit_count() < spec.min_vertices or not all(check(mask) for check in checks)):
+    # How many of the table's two flags must hold; 2-connected implies connected.
+    flags = 2 if "two_connected" in spec.require else int("connected" in spec.require)
+    min_vertices, dedup, seen = spec.min_vertices, spec.dedup_symmetry, set()
+    for mask, connected, two_connected in kernel.two_connected_sweep():
+        if (connected + two_connected < flags or mask.bit_count() < min_vertices
+                or checks and not all(check(mask) for check in checks)):
             continue
-        canon = canonical_form(mask_to_graph(mask, spec.width)) if spec.dedup_symmetry else None
-        if canon is None or canon not in seen:
+        canon = None
+        if dedup:
+            canon = canonical_form(mask_to_graph(mask, spec.width))
+            if canon in seen:
+                continue
             seen.add(canon)
-            yield mask, connected, two_connected, canon
+        yield mask, connected, two_connected, canon
 
 
 def enumerate_graphs(spec: EnumSpec) -> Iterator[SupergridGraph]:

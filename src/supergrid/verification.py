@@ -144,12 +144,12 @@ def run_box_suite(width: int, height: int, oracle_limit: int = 12) -> SuiteRepor
     2-connectivity is read from the box's subset table, one byte per subset
     (2**(width*height) bytes, 32 MB at the 25-cell cap), held for the sweep.
     """
-    masks = box_masks(width, height)  # the cap check comes before any table is built
-    report = SuiteReport(width=width, height=height, total_subsets=len(masks))
+    # box_masks is the cap check, which comes before any table is built.
+    report = SuiteReport(width=width, height=height, total_subsets=len(box_masks(width, height)))
     box = bitboard.box(width, height)
     is_linear_convex, neighbours = box.is_linear_convex, box.neighbours
     linear_convex = two_connected = oracle_checked = 0  # per-mask counts, stored at the end
-    for mask, _, tc in box.two_connected_sweep(masks):
+    for mask, _, tc in box.two_connected_sweep():
         lc = is_linear_convex(mask)
         if lc:
             linear_convex += 1

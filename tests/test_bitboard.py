@@ -108,26 +108,15 @@ def test_kernel_matches_point_predicates_on_oblong_boxes(width, height):
 
 
 def test_two_connected_sweep_matches_point_predicates_on_4x4(box_sweep):
-    found = {mask for mask, _, tc in bitboard.box(4, 4).two_connected_sweep(range(1 << 16)) if tc}
+    found = {mask for mask, _, tc in bitboard.box(4, 4).two_connected_sweep() if tc}
     assert found == box_sweep.two_connected_masks
 
 
 @pytest.mark.parametrize("width,height", [(1, 1), (2, 1), (1, 7), (2, 6), (5, 3), (3, 5)])
 def test_two_connected_sweep_matches_floods(width, height):
     box = bitboard.box(width, height)
-    masks = range(1 << width * height)
-    assert list(box.two_connected_sweep(masks)) == [
-        (m, box.is_connected(m), box.is_two_connected(m)) for m in masks]
-
-
-def test_two_connected_sweep_floods_submasks_not_yet_met():
-    box = bitboard.box(4, 4)
-    masks = list(range(1 << 16))
-    random.Random(14).shuffle(masks)
-    assert list(box.two_connected_sweep(masks)) == [
-        (m, box.is_connected(m), box.is_two_connected(m)) for m in masks]
-    full = bitboard.box(5, 5).full
-    assert list(bitboard.box(5, 5).two_connected_sweep([full])) == [(full, True, True)]
+    assert list(box.two_connected_sweep()) == [
+        (m, box.is_connected(m), box.is_two_connected(m)) for m in range(1 << width * height)]
 
 
 def test_forced_vertex_patterns_match_point_checker_on_3x3_universe():

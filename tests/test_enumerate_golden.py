@@ -9,6 +9,8 @@ of the box (the predicates are judged on each class's first subset, the
 solve on the canonical form).  ``--require connected`` pins the one filter
 read from the subset table's connectivity flag alone, and ``--require
 locally_connected`` the one filter read from the kernel's local connectivity.
+The 4x3 ``--require linear_convex,locally_connected --min 4 --dedup`` golden
+is the one that combines two kernel checks, ``--min`` and ``--dedup``.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
     ("enumerate_4x3_min5_dedup", ["--box", "4x3", "--min", "5", "--dedup"]),
     ("enumerate_4x4_connected", ["--box", "4x4", "--require", "connected"]),
     ("enumerate_4x4_locally_connected", ["--box", "4x4", "--require", "locally_connected"]),
+    ("enumerate_4x3_lc_local_min4_dedup", ["--box", "4x3", "--require",
+                                           "linear_convex,locally_connected", "--min", "4", "--dedup"]),
 ])
 def test_cli_enumerate_matches_golden(tmp_path, capsys, name, argv):
     out_csv = tmp_path / "summary.csv"

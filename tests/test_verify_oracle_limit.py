@@ -7,15 +7,15 @@ not fail on the full 5x5 box.
 
 from __future__ import annotations
 
-from supergrid import verification
-from supergrid.bitboard import box
+from supergrid import bitboard, verification
 
 
 def test_oracle_limit_covers_the_full_25_cell_box(monkeypatch):
-    full = box(5, 5).full
-    monkeypatch.setattr(verification, "box_masks", lambda width, height: [full])
+    # The sweep is cut to the full box alone; the real one would walk all 2**25 subsets.
+    full = bitboard.box(5, 5).full
+    monkeypatch.setattr(bitboard.Box, "two_connected_sweep", lambda self: [(full, True, True)])
     report = verification.run_box_suite(5, 5, oracle_limit=25)
-    assert report.total_subsets == 1
+    assert report.total_subsets == 1 << 25
     assert report.strict_instances == 1
     assert report.oracle_checked == 1
     assert report.total_violations() == 0
