@@ -138,10 +138,11 @@ class Box:
         A subset with two or more cells is connected iff dropping some cell v
         leaves it connected and holding a neighbour of v (take v a leaf of a
         spanning tree); it is 2-connected iff it has three or more cells and
-        every such drop leaves it connected.  The walk ascends over the whole
-        box, so it meets every one-smaller submask first; one byte per subset
-        holds its connected flag (0 or 1): 64 KB at 4x4, 1 MB at 5x4, 32 MB at
-        25 cells.  Answers as its references :meth:`is_connected` and :meth:`is_two_connected`.
+        every such drop leaves it connected, so the drops stop once one
+        connects and one disconnects.  The walk ascends over the whole box, so
+        it meets every one-smaller submask first; one byte per subset holds its
+        connected flag (0 or 1): 64 KB at 4x4, 1 MB at 5x4, 32 MB at 25 cells.
+        Answers as its references :meth:`is_connected` and :meth:`is_two_connected`.
         """
         connected_flags = bytearray(self.full + 1)
         neighbours = self.neighbours
@@ -149,7 +150,7 @@ class Box:
             no_cut = True
             connected = mask & (mask - 1) == 0  # at most one cell
             m = mask
-            while m:
+            while m and (no_cut or not connected):  # until both flags are final
                 low = m & -m
                 m ^= low
                 rest = mask ^ low

@@ -9,7 +9,9 @@ One streaming pass over the subset bitmasks drives four checks at once:
 * the constructive solver finds a full-coverage cycle on every 2-connected
   linearly convex subset, growing by exactly one vertex per step;
 * the independent backtracking oracle agrees in both directions on every
-  subset small enough to search exhaustively.
+  subset of at most ``oracle_limit`` cells (``--oracle-limit``).  Each counts
+  as checked, but a 2-connected one left unsolved is not searched: there no
+  answer, cycle or none, could be a mismatch.
 
 The pass runs on masks: every predicate comes from the
 :mod:`supergrid.bitboard` kernel, and only the strict instances become
@@ -143,6 +145,8 @@ def run_box_suite(width: int, height: int, oracle_limit: int = 12) -> SuiteRepor
     Violations are recorded by subset mask (see :mod:`supergrid.bitboard`).
     2-connectivity is read from the box's subset table, one byte per subset
     (2**(width*height) bytes, 32 MB at the 25-cell cap), held for the sweep.
+    ``oracle_checked`` counts every subset within ``oracle_limit``; the oracle
+    searches all of them but the 2-connected ones left unsolved.
     """
     # box_masks is the cap check, which comes before any table is built.
     report = SuiteReport(width=width, height=height, total_subsets=len(box_masks(width, height)))
@@ -163,6 +167,8 @@ def run_box_suite(width: int, height: int, oracle_limit: int = 12) -> SuiteRepor
             solved = _tally_solve(report, mask, mask_to_graph(mask, width))
         if mask.bit_count() <= oracle_limit:
             oracle_checked += 1
+            if tc and not solved:  # no oracle answer can be a mismatch here
+                continue
             # box_masks caps a box at EXHAUSTIVE_CELL_CAP cells, past the oracle's default bound.
             oracle_cycle = brute_force_hamiltonian_mask(neighbours, mask, EXHAUSTIVE_CELL_CAP)
             if (oracle_cycle is not None and not tc) or (oracle_cycle is None and solved):

@@ -112,7 +112,7 @@ def test_two_connected_sweep_matches_point_predicates_on_4x4(box_sweep):
     assert found == box_sweep.two_connected_masks
 
 
-@pytest.mark.parametrize("width,height", [(1, 1), (2, 1), (1, 7), (2, 6), (5, 3), (3, 5)])
+@pytest.mark.parametrize("width,height", [(1, 1), (2, 1), (1, 7), (2, 6), (5, 3), (3, 5), (4, 4)])
 def test_two_connected_sweep_matches_floods(width, height):
     box = bitboard.box(width, height)
     assert list(box.two_connected_sweep()) == [

@@ -74,6 +74,25 @@ def test_box_suite_has_teeth(monkeypatch):
     assert report.total_violations() > 0
 
 
+def test_oracle_agreement_has_teeth_and_searches_only_where_it_can_disagree(monkeypatch):
+    # 3x3: 512 subsets, 144 of them 2-connected, 112 strict (all solved).
+    not_two_connected = 512 - 144
+    monkeypatch.setattr(verification, "brute_force_hamiltonian_mask", lambda *a: None)
+    report = run_box_suite(3, 3, oracle_limit=9)
+    assert len(report.oracle_mismatches) == report.strict_instances == 112
+    monkeypatch.setattr(verification, "brute_force_hamiltonian_mask", lambda *a: [0, 1, 2])
+    report = run_box_suite(3, 3, oracle_limit=9)
+    assert len(report.oracle_mismatches) == not_two_connected == 368
+    # A 2-connected mask left unsolved (here: not linearly convex) cannot
+    # disagree whatever the oracle says, so only those 32 go unsearched.
+    searched = []
+    monkeypatch.setattr(verification, "brute_force_hamiltonian_mask",
+                        lambda neighbours, mask, bound: searched.append(mask))
+    report = run_box_suite(3, 3, oracle_limit=9)
+    assert len(searched) == 512 - 32 and len(set(searched)) == len(searched)
+    assert report.oracle_checked == 512
+
+
 def _fake_solve(g, *args):
     """A stuck solve on triangles; on larger graphs, a cycle whose one step skips a length."""
     if len(g) == 3:
