@@ -17,6 +17,8 @@ from supergrid import (
     HamiltonianResult,
     StuckWitness,
     from_points,
+    is_linear_convex,
+    is_two_connected,
 )
 from supergrid import verification
 from supergrid.cli import run_cli
@@ -75,21 +77,22 @@ def test_box_suite_has_teeth(monkeypatch):
 
 
 def test_oracle_agreement_has_teeth_and_searches_only_where_it_can_disagree(monkeypatch):
-    # 3x3: 512 subsets, 144 of them 2-connected, 112 strict (all solved).
-    not_two_connected = 512 - 144
+    # Expected masks from the Point predicates; every strict 3x3 mask is solved.
+    graphs = [(mask, mask_to_graph(mask, 3)) for mask in range(512)]
+    strict = [m for m, g in graphs if is_two_connected(g) and is_linear_convex(g)]
+    not_two_connected = [m for m, g in graphs if not is_two_connected(g)]
+    assert (len(strict), len(not_two_connected)) == (112, 368)
     monkeypatch.setattr(verification, "brute_force_hamiltonian_mask", lambda *a: None)
-    report = run_box_suite(3, 3, oracle_limit=9)
-    assert len(report.oracle_mismatches) == report.strict_instances == 112
+    assert run_box_suite(3, 3, oracle_limit=9).oracle_mismatches == strict
     monkeypatch.setattr(verification, "brute_force_hamiltonian_mask", lambda *a: [0, 1, 2])
-    report = run_box_suite(3, 3, oracle_limit=9)
-    assert len(report.oracle_mismatches) == not_two_connected == 368
+    assert run_box_suite(3, 3, oracle_limit=9).oracle_mismatches == not_two_connected
     # A 2-connected mask left unsolved (here: not linearly convex) cannot
     # disagree whatever the oracle says, so only those 32 go unsearched.
     searched = []
     monkeypatch.setattr(verification, "brute_force_hamiltonian_mask",
                         lambda neighbours, mask, bound: searched.append(mask))
     report = run_box_suite(3, 3, oracle_limit=9)
-    assert len(searched) == 512 - 32 and len(set(searched)) == len(searched)
+    assert searched == sorted(strict + not_two_connected) and len(searched) == 512 - 32
     assert report.oracle_checked == 512
 
 
