@@ -25,7 +25,8 @@ its lowest and highest member, and queues the lines through each cell it
 adds, so closing after one new cell checks only that cell's lines.  Local
 connectivity and forced vertices read one set of eight direction masks, local
 connectivity through the ring rule :func:`~supergrid.grid.ring_cuts` on every
-vertex at once; the predicates follow :mod:`supergrid.classify`'s conventions.
+vertex at once, and 2-connectivity floods only where that rule cuts; the
+predicates follow :mod:`supergrid.classify`'s conventions.
 
 This is the fast path for box sweeps and seeded growth.  The ``Point``
 predicates in :mod:`supergrid.classify` remain the general-input API (sparse
@@ -119,15 +120,16 @@ class Box:
     def is_two_connected(self, mask: int) -> bool:
         """True iff |V| >= 3, the subset is connected, and no vertex cuts it.
 
-        No separate connectivity flood: with |V| >= 3, some single removal
-        leaves a disconnected subset disconnected.
+        A vertex with a connected neighbourhood cannot cut a connected graph
+        (Chartrand and Pippert, 1974), so after one flood only the vertices
+        :func:`~supergrid.grid.ring_cuts` flags are dropped and flooded, ascending.
         """
-        if mask.bit_count() < 3:
+        if mask.bit_count() < 3 or not self.is_connected(mask):
             return False
-        m = mask
-        while m:
-            low = m & -m
-            m ^= low
+        cuts = ring_cuts(*self._near(mask)) & mask
+        while cuts:
+            low = cuts & -cuts
+            cuts ^= low
             if not self.is_connected(mask ^ low):
                 return False
         return True
@@ -142,7 +144,8 @@ class Box:
         connects and one disconnects.  The walk ascends over the whole box, so
         it meets every one-smaller submask first; one byte per subset holds its
         connected flag (0 or 1): 64 KB at 4x4, 1 MB at 5x4, 32 MB at 25 cells.
-        Answers as its references :meth:`is_connected` and :meth:`is_two_connected`.
+        Answers as its references :meth:`is_connected` and the tests' one flood
+        per vertex ``reference_bitboard.is_two_connected``, not the ring rule.
         """
         connected_flags = bytearray(self.full + 1)
         neighbours = self.neighbours

@@ -10,6 +10,12 @@ Local connectivity looked each vertex's 8-bit neighbour pattern up in a
 time.  The library applies the ring rule ``grid.ring_cuts`` instead, to single
 patterns and to whole direction masks; the tests check it against the table
 on all 256 patterns and against the table-driven kernel on whole boxes.
+
+2-connectivity flooded the subset once per vertex, with that vertex removed.
+The library floods the subset once, and then once more only per vertex whose
+neighbourhood the ring rule cuts: a vertex with a connected neighbourhood
+cannot cut a connected graph.  The tests check both on whole boxes, and the
+box sweep's 2-connected flags against this reference.
 """
 
 from __future__ import annotations
@@ -60,5 +66,22 @@ def is_locally_connected(self: Box, mask: int) -> bool:
         low = m & -m
         m ^= low
         if not table[sum(1 << d for d, cells in enumerate(near) if cells & low)]:
+            return False
+    return True
+
+
+def is_two_connected(self: Box, mask: int) -> bool:
+    """True iff |V| >= 3, the subset is connected, and no vertex cuts it.
+
+    No separate connectivity flood: with |V| >= 3, some single removal
+    leaves a disconnected subset disconnected.
+    """
+    if mask.bit_count() < 3:
+        return False
+    m = mask
+    while m:
+        low = m & -m
+        m ^= low
+        if not self.is_connected(mask ^ low):
             return False
     return True

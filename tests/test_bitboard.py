@@ -86,6 +86,41 @@ def test_ring_rule_matches_local_table_on_whole_boxes(width, height):
         assert box.is_locally_connected(mask) == ref.is_locally_connected(box, mask), mask
 
 
+@pytest.mark.parametrize("width,height", [(4, 4), (5, 3), (3, 5), (2, 6), (6, 2), (1, 7)])
+def test_two_connected_matches_one_flood_per_vertex_on_whole_boxes(width, height):
+    box = bitboard.box(width, height)
+    for mask in range(1 << (width * height)):
+        assert box.is_two_connected(mask) == ref.is_two_connected(box, mask), mask
+
+
+@pytest.mark.parametrize("width,height,subsets", [(4, 4, 3913), (5, 3, 1791), (2, 6, 115)])
+def test_connected_locally_connected_subsets_are_two_connected(width, height, subsets):
+    # The converse of the paper's first theorem, for any graph (Chartrand and
+    # Pippert, 1974), read off the sweep's flood-based 2-connected flags.
+    box = bitboard.box(width, height)
+    checked = 0
+    for mask, connected, two_connected in box.two_connected_sweep():
+        if connected and mask.bit_count() >= 3 and box.is_locally_connected(mask):
+            assert two_connected, mask
+            checked += 1
+    assert checked == subsets
+
+
+def test_ring_cut_vertices_that_cut_and_that_do_not():
+    box = bitboard.box(3, 3)
+    # The 3x3 ring: each side cell's neighbourhood is two corner-side pairs
+    # the ring rule cuts apart, yet the ring has no cut vertex.
+    ring = 0b111_101_111
+    assert ring_cuts(*box._near(ring)) & ring == 0b010_101_010
+    assert box.is_two_connected(ring) and ref.is_two_connected(box, ring)
+    # A bowtie: triangles (0, 0), (0, 1), (1, 1) and (1, 1), (2, 1), (2, 2)
+    # share the centre, which cuts them apart.
+    bowtie = 0b100_111_001
+    assert box.is_connected(bowtie)
+    assert ring_cuts(*box._near(bowtie)) & bowtie == 1 << 4
+    assert not box.is_two_connected(bowtie) and not ref.is_two_connected(box, bowtie)
+
+
 def test_kernel_matches_oracles_on_3x3_universe():
     box = bitboard.box(3, 3)
     for mask in range(1 << 9):
@@ -116,7 +151,7 @@ def test_two_connected_sweep_matches_point_predicates_on_4x4(box_sweep):
 def test_two_connected_sweep_matches_floods(width, height):
     box = bitboard.box(width, height)
     assert list(box.two_connected_sweep()) == [
-        (m, box.is_connected(m), box.is_two_connected(m)) for m in range(1 << width * height)]
+        (m, box.is_connected(m), ref.is_two_connected(box, m)) for m in range(1 << width * height)]
 
 
 def test_forced_vertex_patterns_match_point_checker_on_3x3_universe():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import pytest
@@ -19,7 +20,7 @@ from supergrid import (
     random_graph,
 )
 from supergrid import bitboard
-from supergrid.enumeration import PREDICATES
+from supergrid.enumeration import PREDICATES, _mask_checks
 
 from conftest import (
     P,
@@ -194,6 +195,31 @@ def test_random_graph_deterministic_per_seed():
     other = EnumSpec(width=8, height=8, min_vertices=12,
                      require=frozenset({"two_connected", "linear_convex"}), seed=8)
     assert random_graph(other) != random_graph(spec) or len(random_graph(other)) >= 12
+
+
+STRICT = frozenset({"two_connected", "linear_convex"})
+
+
+def test_random_graph_pinned_on_large_strict_boxes():
+    # Boxes where the Point reference generator is too slow to compare with;
+    # the values are those of a 2-connectivity check flooding once per vertex.
+    small = random_graph(EnumSpec(128, 128, min_vertices=10, require=STRICT, seed=0))
+    assert small == from_points(pts(
+        (78, 97), (79, 97), (78, 98), (79, 98), (80, 98), (78, 99), (79, 99), (80, 99),
+        (78, 100), (79, 100), (80, 100)))
+    large = random_graph(EnumSpec(64, 64, min_vertices=600, require=STRICT, seed=1))
+    listing = repr(sorted((p.x, p.y) for p in large.vertices)).encode()
+    assert len(large) == 601
+    assert hashlib.sha256(listing).hexdigest() == (
+        "6dd18058ed250f1455517e5515a1441733f7e1d74faa095dbbe1f4893d54d0b7")
+
+
+def test_mask_checks_skip_connected_when_two_connected_is_required():
+    kernel = bitboard.box(4, 4)
+    names = [check.__name__ for check in _mask_checks(kernel, STRICT | {"connected"})]
+    assert names == ["is_linear_convex", "is_two_connected"]
+    names = [check.__name__ for check in _mask_checks(kernel, frozenset({"connected"}))]
+    assert names == ["is_connected"]
 
 
 def test_random_graph_budget_exhausted_on_impossible_spec():
