@@ -70,9 +70,7 @@ class EnumSpec:
 
 
 def _mask_checks(kernel: bitboard.Box, require: frozenset[str]) -> list[Callable[[int], bool]]:
-    """The kernel's tests for ``require``, cheap ones first; 2-connected implies connected."""
-    if "two_connected" in require:
-        require = require - {"connected"}
+    """The kernel's tests for ``require``, cheap ones first."""
     return [getattr(kernel, "is_" + name) for name in _PREDICATE_ORDER if name in require]
 
 

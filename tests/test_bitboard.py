@@ -86,7 +86,7 @@ def test_ring_rule_matches_local_table_on_whole_boxes(width, height):
         assert box.is_locally_connected(mask) == ref.is_locally_connected(box, mask), mask
 
 
-@pytest.mark.parametrize("width,height", [(4, 4), (5, 3), (3, 5), (2, 6), (6, 2), (1, 7)])
+@pytest.mark.parametrize("width,height", [(5, 3), (3, 5), (2, 6), (6, 2), (1, 7)])
 def test_two_connected_matches_one_flood_per_vertex_on_whole_boxes(width, height):
     box = bitboard.box(width, height)
     for mask in range(1 << (width * height)):

@@ -20,7 +20,7 @@ from supergrid import (
     random_graph,
 )
 from supergrid import bitboard
-from supergrid.enumeration import PREDICATES, _mask_checks
+from supergrid.enumeration import PREDICATES
 
 from conftest import (
     P,
@@ -212,14 +212,6 @@ def test_random_graph_pinned_on_large_strict_boxes():
     assert len(large) == 601
     assert hashlib.sha256(listing).hexdigest() == (
         "6dd18058ed250f1455517e5515a1441733f7e1d74faa095dbbe1f4893d54d0b7")
-
-
-def test_mask_checks_skip_connected_when_two_connected_is_required():
-    kernel = bitboard.box(4, 4)
-    names = [check.__name__ for check in _mask_checks(kernel, STRICT | {"connected"})]
-    assert names == ["is_linear_convex", "is_two_connected"]
-    names = [check.__name__ for check in _mask_checks(kernel, frozenset({"connected"}))]
-    assert names == ["is_connected"]
 
 
 def test_random_graph_budget_exhausted_on_impossible_spec():

@@ -44,7 +44,6 @@ def test_strict_8x8_seeds():
     (5, 5, 10, {"connected", "locally_connected"}),
     (10, 10, 60, STRICT),
     (20, 20, 300, STRICT),
-    (8, 8, 20, {"connected", "two_connected", "linear_convex"}),
 ])
 def test_other_specs(width, height, min_vertices, require):
     for seed in range(10):
