@@ -171,12 +171,12 @@ def lowpoint_dfs(nbrs: Sequence[Sequence[int]]) -> tuple[bool, bool]:
 
 def is_connected(g: SupergridGraph) -> bool:
     """True iff g has at most one vertex or one traversal reaches all of them."""
-    return lowpoint_dfs(vertex_ids(g)[2])[0]
+    return lowpoint_dfs(vertex_ids(g)[1])[0]
 
 
 def is_two_connected(g: SupergridGraph, nbrs: Sequence[Sequence[int]] | None = None) -> bool:
     """True iff |V| >= 3 and g is connected with no cut vertex (``nbrs``: g's built id table)."""
-    connected, cut = lowpoint_dfs(vertex_ids(g)[2] if nbrs is None else nbrs)
+    connected, cut = lowpoint_dfs(vertex_ids(g)[1] if nbrs is None else nbrs)
     return len(g) >= 3 and connected and not cut
 
 
@@ -206,7 +206,7 @@ def classify(g: SupergridGraph) -> ClassificationReport:
     """
     convexity = linear_convexity_violation(g)
     locality = local_connectivity_violation(g)
-    connected, cut = lowpoint_dfs(vertex_ids(g)[2])
+    connected, cut = lowpoint_dfs(vertex_ids(g)[1])
     return ClassificationReport(
         vertex_count=len(g),
         connected=connected,

@@ -5,8 +5,8 @@ in row-major order (bit i = cell (i % width, i // width)), ascending, which
 makes the enumeration order part of the external contract.  The pass builds
 the box's subset table (one byte per subset) for connectivity and asks the
 :mod:`supergrid.bitboard` kernel the rest.  The box is capped at 25 cells;
-``verify`` takes 0.83 s on 4x4 and 7.8 s on 5x4, ``enumerate`` 0.87 s and
-6.9 s (medians of 5 whole-process runs, one core of a busy shared 2-core
+``verify`` takes 0.61 s on 4x4 and 6.3 s on 5x4, ``enumerate`` 0.80 s and
+5.6 s (medians of 5 whole-process runs, one core of a busy shared 2-core
 Intel Xeon VM, CPython 3.11.7).
 
 Randomized mode grows a connected blob cell by cell and then repairs it to

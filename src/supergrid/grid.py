@@ -165,11 +165,11 @@ def neighbors(g: SupergridGraph, v: Point) -> list[Point]:
     return [w for dx, dy in OFFSETS if (w := Point(v.x + dx, v.y + dy)) in verts]
 
 
-VertexTable = tuple[tuple[Point, ...], dict[int, int], list[list[int]]]
+VertexTable = tuple[tuple[Point, ...], list[list[int]]]
 
 
 def vertex_ids(g: SupergridGraph) -> VertexTable:
-    """Vertex ids in (y, x) order: the points, a packed key -> id map, neighbour ids.
+    """Vertex ids in (y, x) order: the points and their neighbour ids.
 
     A point's key is ``(y - y0) * W + (x - x0)`` over g's bounding box plus a
     one-cell margin, so keys sort in (y, x) order and key k's neighbours are
@@ -179,7 +179,7 @@ def vertex_ids(g: SupergridGraph) -> VertexTable:
     """
     box = g.bounding_box()
     if box is None:
-        return (), {}, []
+        return (), []
     x0, y0, x1, _ = box
     width = x1 - x0 + 3
     by_key = {(p.y - y0 + 1) * width + p.x - x0 + 1: p for p in g.vertices}
@@ -187,7 +187,7 @@ def vertex_ids(g: SupergridGraph) -> VertexTable:
     ident = dict(zip(keys, range(len(keys))))
     get, offsets = ident.get, [dy * width + dx for dx, dy in OFFSETS]
     nbrs = [[j for d in offsets if (j := get(k + d)) is not None] for k in keys]
-    return tuple(map(by_key.__getitem__, keys)), ident, nbrs
+    return tuple(map(by_key.__getitem__, keys)), nbrs
 
 
 def induced_neighborhood(g: SupergridGraph, v: Point) -> SupergridGraph:

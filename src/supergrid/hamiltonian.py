@@ -42,10 +42,11 @@ tail u has the smallest position counted from ``verts[0]``; u is the step's
 ``anchor_u1``.  One engine keeps its state across steps: the vertex-id table
 it shares with the precheck (:func:`~supergrid.grid.vertex_ids`), the cycle as
 successor/predecessor arrays with order-maintenance labels for positions,
-and a lazy min-heap of the frontier vertices that have an insertable edge.
-Splicing x into the edge (u, v) touches only frontier vertices next to x,
-u and v, and a relabel costs O(levels + run), so a DIRECT_INSERT step
-costs amortised O(log V) and a solve made of them is near-linear: about 5
+and a lazy min-heap of candidate frontier vertices.  The heap may hold stale
+entries; readiness is decided when a vertex is popped.  Splicing x into the
+edge (u, v) pushes only the off-cycle neighbours of x next to u or v, and a
+relabel costs O(levels + run), so a DIRECT_INSERT step costs amortised
+O(log V) and a solve made of them is near-linear: about 5
 label writes per step on a 256x256 block and 11 on a 2x20000 strip.  It
 records the step as three ints (see :class:`ExtensionTrace`), and an
 ``ExtensionStep`` is built only when the trace's steps are read.  The
@@ -193,7 +194,7 @@ def seed_cycle(g: SupergridGraph) -> Cycle:
 
 def _failed_precondition(g: SupergridGraph, table: VertexTable, strict: bool) -> str | None:
     """The first failed solver precondition: 2-connectivity, then (strict) linear convexity."""
-    if not is_two_connected(g, table[2]):
+    if not is_two_connected(g, table[1]):
         return "two_connected"
     if strict and not is_linear_convex(g, table[0]):
         return "linear_convex"
@@ -202,7 +203,7 @@ def _failed_precondition(g: SupergridGraph, table: VertexTable, strict: bool) ->
 
 def _seed_triangle(g: SupergridGraph, table: VertexTable | None = None) -> Cycle | None:
     """First triangle in lex order: smallest apex, then neighbor-pair order."""
-    points, _, nbrs = vertex_ids(g) if table is None else table
+    points, nbrs = vertex_ids(g) if table is None else table
     ids = _seed_ids(nbrs)
     return None if ids is None else Cycle(tuple(points[v] for v in ids))
 
@@ -368,18 +369,18 @@ class _Engine:
     order and ids a, b are adjacent iff b is in ``nbrs[a]``.  The cycle is a
     ring of ``succ``/``pred`` ids from ``head`` (its ``verts[0]``) whose
     order-maintenance ``label``s increase along it, so comparing labels
-    compares positions from ``verts[0]``.  ``ready`` flags the off-cycle
-    vertices that have an insertable edge; each of them has an entry in the
-    lazy min-heap ``heap`` (ids, negated for ``reverse``).  A splice keeps
-    the flags exact without rescanning: a neighbour of the new vertex is
-    ready iff it was or it neighbours an end of the split edge, and only a
-    ready common neighbour of both ends can lose its flag (see ``step``).
+    compares positions from ``verts[0]``.  Every off-cycle vertex that has
+    an insertable edge has an entry in the lazy min-heap ``heap`` (ids,
+    negated for ``reverse``); it may hold stale entries too, so readiness is
+    decided by ``_tail`` when a vertex is popped.  ``load`` starts the heap as
+    the whole frontier, and a splice pushes the vertices its two new edges
+    can make ready (see ``step``).
     """
 
     def __init__(self, g: SupergridGraph, table: VertexTable, ids: Sequence[int],
                  reverse: bool):
         self.g, self.reverse = g, reverse
-        self.points, _, self.nbrs = table
+        self.points, self.nbrs = table
         self.levels = 2  # labels live in [0, top), with n + 1 <= (4/3)**levels (see _label_after)
         while (len(self.points) + 1) * 3**self.levels > 4**self.levels:
             self.levels += 1
@@ -392,16 +393,14 @@ class _Engine:
         n = len(self.points)
         self.head, self.k = ids[0], len(ids)
         self.on = on = bytearray(n)
-        self.ready = bytearray(n)
         self.succ, self.pred, self.label = succ, pred, label = [0] * n, [0] * n, [0] * n
         gap = self.top // (len(ids) + 1)
         prev = ids[-1]
         for j, v in enumerate(ids):
             on[v], label[v] = 1, j * gap
             succ[prev], pred[v], prev = v, prev, v
-        self.heap: list[int] = []
-        for w in self._frontier():
-            self._recheck(w)
+        # Sorted, so already a heap.
+        self.heap = [-w for w in self._frontier()] if self.reverse else self._frontier()
 
     def _ring(self) -> Iterator[int]:
         v = self.head
@@ -431,41 +430,28 @@ class _Engine:
                     best = a
         return best
 
-    def _recheck(self, w: int) -> None:
-        ready = self._tail(w) >= 0
-        if ready and not self.ready[w]:
-            heappush(self.heap, -w if self.reverse else w)
-        self.ready[w] = ready
-
     def step(self) -> None:
         """Attach one vertex and record it: DIRECT_INSERT if the heap holds a ready vertex."""
-        heap, on, ready, nbrs = self.heap, self.on, self.ready, self.nbrs
-        succ, pred = self.succ, self.pred
+        heap, on, nbrs, succ, pred = self.heap, self.on, self.nbrs, self.succ, self.pred
         while heap:
             x = -heappop(heap) if self.reverse else heappop(heap)
-            if on[x] or not ready[x]:
+            if on[x]:
                 continue
             u = self._tail(x)
+            if u < 0:
+                continue
             v = succ[u]
-            if u < 0 or not (on[u] and u in nbrs[x] and v in nbrs[x]):
+            if not (on[u] and u in nbrs[x] and v in nbrs[x]):
                 raise self._stuck(self.cycle())
             before = self.k
             self.label[x] = self._label_after(u)
             succ[u], pred[x], succ[x], pred[v] = x, u, v, x
             on[x] = 1
             self.k += 1
-            # Every insertable edge but (u, v) survives, and a vertex that had
-            # (u, v) and is in N(x) now has (u, x).  So a w in N(x) is ready
-            # iff it was, or w ~ u, or w ~ v; only a ready w in N(u) ∩ N(v)
-            # outside N(x) can lose its last insertable edge.
-            near_x = nbrs[x]
-            for w in near_x:
-                if not on[w] and not ready[w] and (u in nbrs[w] or v in nbrs[w]):
-                    ready[w] = 1
+            # Only the new edges (u, x) and (x, v) can make a vertex ready.
+            for w in nbrs[x]:
+                if not on[w] and (u in nbrs[w] or v in nbrs[w]):
                     heappush(heap, -w if self.reverse else w)
-            for w in nbrs[u]:
-                if ready[w] and not on[w] and v in nbrs[w] and w not in near_x:
-                    self._recheck(w)
             self.trace.records.extend((before, x, u))
             return
         self._rewire()
@@ -592,7 +578,7 @@ def _seed_and_extend(g: SupergridGraph, reverse_frontier: bool = False,
     table = vertex_ids(g) if table is None else table
     engine = None
     try:
-        seed = _seed_ids(table[2])
+        seed = _seed_ids(table[1])
         if seed is None:
             raise ExtensionStuck(StuckWitness(g, None, None))
         engine = _Engine(g, table, seed, reverse_frontier)
@@ -614,7 +600,7 @@ def brute_force_hamiltonian(g: SupergridGraph, bound: int = 24) -> Cycle | None:
     :func:`brute_force_hamiltonian_mask`; the result (some Hamiltonian cycle
     from the smallest vertex, or None) is deterministic.
     """
-    verts, _, nbrs = vertex_ids(g)
+    verts, nbrs = vertex_ids(g)
     adjacency = [sum(1 << j for j in row) for row in nbrs]
     path = brute_force_hamiltonian_mask(adjacency, (1 << len(verts)) - 1, bound)
     return None if path is None else Cycle(tuple(verts[i] for i in path))
