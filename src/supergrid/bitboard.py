@@ -15,8 +15,10 @@ order is the (y, x) vertex order used everywhere else in the library.  A
 
 ``neighbours`` takes W*H bits per cell, so it is built on first use, only by
 the oracle and the subset table every box pass reads its connectivity from
-(``verify``, ``enumerate``): one connected flag byte per subset, filled by one
-ascending walk over the whole box.  The line tables grow linearly with the box.
+(``verify``, ``enumerate``): one byte per subset, bit 0 its connected flag
+and bit 1 its 2-connected flag, filled by one ascending walk over the whole
+box and returned as a ``bytearray`` that ``verify``'s forked workers share.
+The line tables grow linearly with the box.
 
 Connectivity is a flood fill by king-move dilation, done with shifts and
 column masks over the whole board; the same dilation gives the fringe of a
@@ -37,7 +39,6 @@ tested against.
 from __future__ import annotations
 
 import functools
-from typing import Iterator
 
 from .grid import FORCED_VERTEX_PATTERNS, OFFSETS, Point, SupergridGraph, ring_cuts
 
@@ -134,20 +135,21 @@ class Box:
                 return False
         return True
 
-    def two_connected_sweep(self) -> Iterator[tuple[int, bool, bool]]:
-        """Every subset of the box, ascending, with its connectivity and 2-connectivity.
+    def two_connected_sweep(self) -> bytearray:
+        """One byte per subset of the box: bit 0 if it is connected, bit 1 if 2-connected.
 
         A subset with two or more cells is connected iff dropping some cell v
         leaves it connected and holding a neighbour of v (take v a leaf of a
         spanning tree); it is 2-connected iff it has three or more cells and
         every such drop leaves it connected, so the drops stop once one
         connects and one disconnects.  The walk ascends over the whole box, so
-        it meets every one-smaller submask first; one byte per subset holds its
-        connected flag (0 or 1): 64 KB at 4x4, 1 MB at 5x4, 32 MB at 25 cells.
-        Answers as its references :meth:`is_connected` and the tests' one flood
-        per vertex ``reference_bitboard.is_two_connected``, not the ring rule.
+        it meets every one-smaller submask first.  2-connected implies
+        connected, so a byte is 0, 1 or 3: 64 KB at 4x4, 1 MB at 5x4, 32 MB at
+        25 cells.  Answers as its references :meth:`is_connected` and the
+        tests' one flood per vertex ``reference_bitboard.is_two_connected``,
+        not the ring rule.
         """
-        connected_flags = bytearray(self.full + 1)
+        table = bytearray(self.full + 1)
         neighbours = self.neighbours
         for mask in range(self.full + 1):
             no_cut = True
@@ -157,12 +159,12 @@ class Box:
                 low = m & -m
                 m ^= low
                 rest = mask ^ low
-                if not connected_flags[rest]:
+                if not table[rest]:
                     no_cut = False
                 elif not connected and neighbours[low.bit_length() - 1] & rest:
                     connected = True
-            connected_flags[mask] = connected
-            yield mask, connected, no_cut and mask.bit_count() >= 3
+            table[mask] = 3 if no_cut and mask.bit_count() >= 3 else connected
+        return table
 
     def is_linear_convex(self, mask: int) -> bool:
         """True iff every lattice line meets the subset in one contiguous run.

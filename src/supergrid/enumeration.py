@@ -5,9 +5,7 @@ in row-major order (bit i = cell (i % width, i // width)), ascending, which
 makes the enumeration order part of the external contract.  The pass builds
 the box's subset table (one byte per subset) for connectivity and asks the
 :mod:`supergrid.bitboard` kernel the rest.  The box is capped at 25 cells;
-``verify`` takes 0.61 s on 4x4 and 6.3 s on 5x4, ``enumerate`` 0.80 s and
-5.6 s (medians of 5 whole-process runs, one core of a busy shared 2-core
-Intel Xeon VM, CPython 3.11.7).
+the README's timings table gives what ``verify`` and ``enumerate`` take.
 
 Randomized mode grows a connected blob cell by cell and then repairs it to
 linear convexity by closing every line gap; uniform subsets of useful size
@@ -82,7 +80,7 @@ def box_masks(width: int, height: int) -> range:
     return range(1 << cells)
 
 
-def _box_subsets(spec: EnumSpec) -> Iterator[tuple[int, bool, bool, SupergridGraph | None]]:
+def _box_subsets(spec: EnumSpec) -> Iterator[tuple[int, int, int, SupergridGraph | None]]:
     """(mask, connected, two_connected, canonical form or None) of each subset kept.
 
     Ascending; the flags come from the box's subset table, the rest of
@@ -92,11 +90,11 @@ def _box_subsets(spec: EnumSpec) -> Iterator[tuple[int, bool, bool, SupergridGra
     box_masks(spec.width, spec.height)  # the cap check comes before any table is built
     kernel = bitboard.box(spec.width, spec.height)
     checks = _mask_checks(kernel, spec.require - {"connected", "two_connected"})
-    # How many of the table's two flags must hold; 2-connected implies connected.
-    flags = 2 if "two_connected" in spec.require else int("connected" in spec.require)
+    # The least table byte that passes: 2-connected (3) implies connected (1).
+    need = 3 if "two_connected" in spec.require else int("connected" in spec.require)
     min_vertices, dedup, seen = spec.min_vertices, spec.dedup_symmetry, set()
-    for mask, connected, two_connected in kernel.two_connected_sweep():
-        if (connected + two_connected < flags or mask.bit_count() < min_vertices
+    for mask, flags in enumerate(kernel.two_connected_sweep()):
+        if (flags < need or mask.bit_count() < min_vertices
                 or checks and not all(check(mask) for check in checks)):
             continue
         canon = None
@@ -105,7 +103,7 @@ def _box_subsets(spec: EnumSpec) -> Iterator[tuple[int, bool, bool, SupergridGra
             if canon in seen:
                 continue
             seen.add(canon)
-        yield mask, connected, two_connected, canon
+        yield mask, flags & 1, flags >> 1, canon
 
 
 def enumerate_graphs(spec: EnumSpec) -> Iterator[SupergridGraph]:

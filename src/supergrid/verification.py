@@ -16,13 +16,20 @@ One streaming pass over the subset bitmasks drives four checks at once:
 The pass runs on masks: every predicate comes from the
 :mod:`supergrid.bitboard` kernel, and only the strict instances become
 ``SupergridGraph`` objects, handed to the solver's seed-and-extend core
-without re-running its ``Point`` precheck.  2-connectivity comes from the
-box's subset table, :meth:`~supergrid.bitboard.Box.two_connected_sweep`, as
-in ``enumerate``.  The ``Point`` predicates of :mod:`supergrid.classify` stay the
-general-input API and the reference the kernel is tested against.  The
-oracle searches the same masks with adjacency from the kernel's neighbour
-table and reads none of the sweep's predicates; it shares no code with the
-solver, so its agreement remains independent evidence.
+without re-running its ``Point`` precheck.  Connectivity and 2-connectivity
+come from the box's subset table,
+:meth:`~supergrid.bitboard.Box.two_connected_sweep`, one byte per subset
+with two flags, built by one serial walk as in ``enumerate``.  The checks
+then run over fixed-size chunks of masks on every usable CPU: this process
+and forked workers, which share the table copy-on-write, each take the next
+chunk until none is left.  Each chunk has its own :class:`SuiteReport`, and
+those are added up in chunk order, so every violation list ascends and the
+report is the same for any worker count.  The ``Point`` predicates of
+:mod:`supergrid.classify` stay the general-input API and the reference the
+kernel is tested against.  The oracle searches the same masks with adjacency
+from the kernel's neighbour table and reads none of the sweep's predicates;
+it shares no code with the solver, so its agreement remains independent
+evidence.
 
 The pass also aggregates how often each extension rule fired, which is the
 committed rule-frequency artifact; any fallback firing is flagged for audit
@@ -31,7 +38,11 @@ but is not itself a violation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+import os
+import threading
+from dataclasses import dataclass, field, fields
+from typing import Callable
 
 from . import bitboard
 from .bitboard import mask_to_graph
@@ -78,6 +89,16 @@ class SuiteReport:
     oracle_mismatches: list[int] = field(default_factory=list)
     oracle_checked: int = 0
     rule_counts: dict[str, int] = field(default_factory=lambda: ExtensionTrace().rule_counts())
+
+    def add(self, part: SuiteReport) -> None:
+        """Add the counts of ``part``, a sweep of later masks, and append its violations."""
+        for f in fields(self)[2:]:  # all but width and height
+            mine, theirs = getattr(self, f.name), getattr(part, f.name)
+            if isinstance(mine, dict):
+                for name, count in theirs.items():
+                    mine[name] += count
+            else:
+                setattr(self, f.name, mine + theirs)
 
     @property
     def fallback_fired(self) -> int:
@@ -139,21 +160,100 @@ def _tally_solve(report: SuiteReport, mask: int, g: SupergridGraph) -> bool:
     return solved
 
 
-def run_box_suite(width: int, height: int, oracle_limit: int = 12) -> SuiteReport:
-    """Single-threaded sweep of every subset of the width x height box.
+# Masks per chunk.  A box of at most 11 cells is one chunk and runs in-process:
+# one fork and join cost about 4 ms, about what a worker saves on a 3x3 box.
+CHUNK_MASKS = 1 << 11
 
-    Violations are recorded by subset mask (see :mod:`supergrid.bitboard`).
-    2-connectivity is read from the box's subset table, one byte per subset
-    (2**(width*height) bytes, 32 MB at the 25-cell cap), held for the sweep.
-    ``oracle_checked`` counts every subset within ``oracle_limit``; the oracle
-    searches all of them but the 2-connected ones left unsolved.
+
+def _mask_chunks(size: int) -> list[range]:
+    """The masks ``range(size)`` in consecutive chunks of ``CHUNK_MASKS``."""
+    return [range(start, min(start + CHUNK_MASKS, size)) for start in range(0, size, CHUNK_MASKS)]
+
+
+def _worker_count() -> int:
+    """Usable CPUs of this process, or 1 where it cannot fork safely.
+
+    The fork start method needs ``os.fork``, and a fork while other threads
+    run may copy a lock that one of them holds.
     """
-    # box_masks is the cap check, which comes before any table is built.
-    report = SuiteReport(width=width, height=height, total_subsets=len(box_masks(width, height)))
-    box = bitboard.box(width, height)
-    is_linear_convex, neighbours = box.is_linear_convex, box.neighbours
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call, as on macOS
+        return os.cpu_count() or 1
+
+
+def _take(sweep: Callable[[range], SuiteReport], chunks: list[range],
+          counter) -> list[tuple[int, SuiteReport]]:
+    """(i, sweep(chunks[i])) for each next index i drawn from the shared ``counter``."""
+    done = []
+    while True:
+        with counter.get_lock():
+            i = counter.value
+            counter.value = i + 1
+        if i >= len(chunks):
+            return done
+        done.append((i, sweep(chunks[i])))
+
+
+def _serve(sender, sweep: Callable[[range], SuiteReport], chunks: list[range], counter) -> None:
+    """A forked worker's body: send (True, what it took) or (False, the exception raised)."""
+    try:
+        result = True, _take(sweep, chunks, counter)
+    except BaseException as exc:  # re-raised in the parent
+        result = False, exc
+    sender.send(result)
+
+
+def _in_workers(sweep: Callable[[range], SuiteReport], chunks: list[range],
+                workers: int) -> list[SuiteReport]:
+    """``sweep`` of every chunk, in chunk order, over ``workers`` processes.
+
+    This process and ``workers - 1`` forked ones, which share the sweep's
+    tables copy-on-write, each take the next chunk from a shared counter
+    until none is left, so a slow chunk holds up one worker only.  An
+    exception in any worker is raised here, and no forked worker outlives
+    the call.
+    """
+    import multiprocessing  # only where workers start
+
+    context = multiprocessing.get_context("fork")
+    counter = context.Value("q", 0)
+    started = []
+    try:
+        for _ in range(workers - 1):
+            receiver, sender = context.Pipe(duplex=False)
+            child = context.Process(target=_serve, args=(sender, sweep, chunks, counter))
+            child.start()
+            sender.close()
+            started.append((child, receiver))
+        done = _take(sweep, chunks, counter)
+        for child, receiver in started:
+            ok, value = receiver.recv()
+            if not ok:
+                raise value
+            done += value
+    except BaseException:
+        for child, _ in started:
+            child.terminate()
+        raise
+    finally:
+        for child, receiver in started:
+            child.join()
+            receiver.close()
+    parts = dict(done)
+    return [parts[i] for i in range(len(chunks))]
+
+
+def _sweep_masks(box: bitboard.Box, table: bytearray, oracle_limit: int,
+                 masks: range) -> SuiteReport:
+    """Every check of :func:`run_box_suite` on ``masks``, in a report of their own."""
+    report = SuiteReport(width=box.width, height=box.height)
+    is_linear_convex, neighbours, width = box.is_linear_convex, box.neighbours, box.width
     linear_convex = two_connected = oracle_checked = 0  # per-mask counts, stored at the end
-    for mask, _, tc in box.two_connected_sweep():
+    for mask in masks:
+        tc = table[mask] >> 1
         lc = is_linear_convex(mask)
         if lc:
             linear_convex += 1
@@ -175,4 +275,29 @@ def run_box_suite(width: int, height: int, oracle_limit: int = 12) -> SuiteRepor
                 report.oracle_mismatches.append(mask)
     report.linear_convex, report.two_connected = linear_convex, two_connected
     report.oracle_checked = oracle_checked
+    return report
+
+
+def run_box_suite(width: int, height: int, oracle_limit: int = 12) -> SuiteReport:
+    """Sweep of every subset of the width x height box, on every usable CPU.
+
+    Violations are recorded by subset mask (see :mod:`supergrid.bitboard`).
+    2-connectivity is read from the box's subset table, one byte per subset
+    (2**(width*height) bytes, 32 MB at the 25-cell cap), built in this
+    process and held for the sweep.  The checks then run over chunks of
+    ``CHUNK_MASKS`` masks in up to one worker per usable CPU, and the chunks'
+    reports are added up in mask order, so the report is the same for any
+    worker count.  ``oracle_checked`` counts every subset within
+    ``oracle_limit``; the oracle searches all of them but the 2-connected ones
+    left unsolved.
+    """
+    # box_masks is the cap check, which comes before any table is built.
+    report = SuiteReport(width=width, height=height, total_subsets=len(box_masks(width, height)))
+    box = bitboard.box(width, height)
+    table = box.two_connected_sweep()
+    sweep = functools.partial(_sweep_masks, box, table, oracle_limit)
+    chunks = _mask_chunks(len(table))
+    workers = min(_worker_count(), len(chunks))
+    for part in _in_workers(sweep, chunks, workers) if workers > 1 else map(sweep, chunks):
+        report.add(part)
     return report

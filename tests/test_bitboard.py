@@ -99,9 +99,9 @@ def test_connected_locally_connected_subsets_are_two_connected(width, height, su
     # Pippert, 1974), read off the sweep's flood-based 2-connected flags.
     box = bitboard.box(width, height)
     checked = 0
-    for mask, connected, two_connected in box.two_connected_sweep():
-        if connected and mask.bit_count() >= 3 and box.is_locally_connected(mask):
-            assert two_connected, mask
+    for mask, flags in enumerate(box.two_connected_sweep()):
+        if flags & 1 and mask.bit_count() >= 3 and box.is_locally_connected(mask):
+            assert flags >> 1, mask
             checked += 1
     assert checked == subsets
 
@@ -143,15 +143,17 @@ def test_kernel_matches_point_predicates_on_oblong_boxes(width, height):
 
 
 def test_two_connected_sweep_matches_point_predicates_on_4x4(box_sweep):
-    found = {mask for mask, _, tc in bitboard.box(4, 4).two_connected_sweep() if tc}
+    table = bitboard.box(4, 4).two_connected_sweep()
+    found = {mask for mask, flags in enumerate(table) if flags >> 1}
     assert found == box_sweep.two_connected_masks
 
 
 @pytest.mark.parametrize("width,height", [(1, 1), (2, 1), (1, 7), (2, 6), (5, 3), (3, 5), (4, 4)])
 def test_two_connected_sweep_matches_floods(width, height):
+    # One byte per subset: bit 0 connected, bit 1 2-connected.
     box = bitboard.box(width, height)
     assert list(box.two_connected_sweep()) == [
-        (m, box.is_connected(m), ref.is_two_connected(box, m)) for m in range(1 << width * height)]
+        box.is_connected(m) | ref.is_two_connected(box, m) << 1 for m in range(1 << width * height)]
 
 
 def test_forced_vertex_patterns_match_point_checker_on_3x3_universe():

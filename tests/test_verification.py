@@ -87,7 +87,9 @@ def test_oracle_agreement_has_teeth_and_searches_only_where_it_can_disagree(monk
     monkeypatch.setattr(verification, "brute_force_hamiltonian_mask", lambda *a: [0, 1, 2])
     assert run_box_suite(3, 3, oracle_limit=9).oracle_mismatches == not_two_connected
     # A 2-connected mask left unsolved (here: not linearly convex) cannot
-    # disagree whatever the oracle says, so only those 32 go unsearched.
+    # disagree whatever the oracle says, so only those 32 go unsearched.  The
+    # 3x3 box is one chunk, so it runs in this process, where ``searched`` is.
+    assert verification._mask_chunks(1 << 9) == [range(1 << 9)]
     searched = []
     monkeypatch.setattr(verification, "brute_force_hamiltonian_mask",
                         lambda neighbours, mask, bound: searched.append(mask))

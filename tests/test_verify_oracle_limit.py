@@ -11,9 +11,11 @@ from supergrid import bitboard, verification
 
 
 def test_oracle_limit_covers_the_full_25_cell_box(monkeypatch):
-    # The sweep is cut to the full box alone; the real one would walk all 2**25 subsets.
+    # The subset table and the sweep are cut to the full box alone; the real
+    # ones would walk all 2**25 subsets.
     full = bitboard.box(5, 5).full
-    monkeypatch.setattr(bitboard.Box, "two_connected_sweep", lambda self: [(full, True, True)])
+    monkeypatch.setattr(bitboard.Box, "two_connected_sweep", lambda self: {full: 3})
+    monkeypatch.setattr(verification, "_mask_chunks", lambda size: [range(full, full + 1)])
     report = verification.run_box_suite(5, 5, oracle_limit=25)
     assert report.total_subsets == 1 << 25
     assert report.strict_instances == 1
