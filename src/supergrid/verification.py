@@ -22,8 +22,8 @@ come from the box's subset table,
 with two flags, built by one serial walk as in ``enumerate``.  The checks
 then run over fixed-size chunks of masks on every usable CPU: this process
 and forked workers, which share the table copy-on-write, each take the next
-chunk until none is left.  Each chunk has its own :class:`SuiteReport`, and
-those are added up in chunk order, so every violation list ascends and the
+chunk until none is left.  Each worker adds up its chunks' reports, and the
+workers' sums are added up with every violation list kept ascending, so the
 report is the same for any worker count.  The ``Point`` predicates of
 :mod:`supergrid.classify` stay the general-input API and the reference the
 kernel is tested against.  The oracle searches the same masks with adjacency
@@ -91,12 +91,18 @@ class SuiteReport:
     rule_counts: dict[str, int] = field(default_factory=lambda: ExtensionTrace().rule_counts())
 
     def add(self, part: SuiteReport) -> None:
-        """Add the counts of ``part``, a sweep of later masks, and append its violations."""
+        """Add the counts of ``part``, a sweep of other masks, and merge its violations.
+
+        Every violation list stays ascending, so the sum of the reports of a
+        box's chunks is the same in any order.
+        """
         for f in fields(self)[2:]:  # all but width and height
             mine, theirs = getattr(self, f.name), getattr(part, f.name)
             if isinstance(mine, dict):
                 for name, count in theirs.items():
                     mine[name] += count
+            elif isinstance(mine, list):
+                setattr(self, f.name, sorted(mine + theirs))
             else:
                 setattr(self, f.name, mine + theirs)
 
@@ -160,8 +166,9 @@ def _tally_solve(report: SuiteReport, mask: int, g: SupergridGraph) -> bool:
     return solved
 
 
-# Masks per chunk.  A box of at most 11 cells is one chunk and runs in-process:
-# one fork and join cost about 4 ms, about what a worker saves on a 3x3 box.
+# Masks per chunk.  A box of at most 11 cells is one chunk and runs in this
+# process: one fork and join cost about 4 ms, as much as a second worker saved
+# on the 3x3 box (12 ms), while the 4x3 box went from 45 to 32 ms on two.
 CHUNK_MASKS = 1 << 11
 
 
@@ -184,21 +191,20 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
-def _take(sweep: Callable[[range], SuiteReport], chunks: list[range],
-          counter) -> list[tuple[int, SuiteReport]]:
-    """(i, sweep(chunks[i])) for each next index i drawn from the shared ``counter``."""
-    done = []
+def _take(sweep: Callable[[range], SuiteReport], chunks: list[range], counter) -> SuiteReport:
+    """The sum of ``sweep(chunks[i])`` over each next index i drawn from the shared ``counter``."""
+    total = sweep(range(0))  # no masks: an empty report
     while True:
         with counter.get_lock():
             i = counter.value
             counter.value = i + 1
         if i >= len(chunks):
-            return done
-        done.append((i, sweep(chunks[i])))
+            return total
+        total.add(sweep(chunks[i]))
 
 
 def _serve(sender, sweep: Callable[[range], SuiteReport], chunks: list[range], counter) -> None:
-    """A forked worker's body: send (True, what it took) or (False, the exception raised)."""
+    """A forked worker's body: send (True, its sum) or (False, the exception raised)."""
     try:
         result = True, _take(sweep, chunks, counter)
     except BaseException as exc:  # re-raised in the parent
@@ -208,7 +214,7 @@ def _serve(sender, sweep: Callable[[range], SuiteReport], chunks: list[range], c
 
 def _in_workers(sweep: Callable[[range], SuiteReport], chunks: list[range],
                 workers: int) -> list[SuiteReport]:
-    """``sweep`` of every chunk, in chunk order, over ``workers`` processes.
+    """Each worker's sum of ``sweep`` over the chunks it took; every chunk is taken once.
 
     This process and ``workers - 1`` forked ones, which share the sweep's
     tables copy-on-write, each take the next chunk from a shared counter
@@ -228,12 +234,12 @@ def _in_workers(sweep: Callable[[range], SuiteReport], chunks: list[range],
             child.start()
             sender.close()
             started.append((child, receiver))
-        done = _take(sweep, chunks, counter)
+        sums = [_take(sweep, chunks, counter)]
         for child, receiver in started:
             ok, value = receiver.recv()
             if not ok:
                 raise value
-            done += value
+            sums.append(value)
     except BaseException:
         for child, _ in started:
             child.terminate()
@@ -242,8 +248,7 @@ def _in_workers(sweep: Callable[[range], SuiteReport], chunks: list[range],
         for child, receiver in started:
             child.join()
             receiver.close()
-    parts = dict(done)
-    return [parts[i] for i in range(len(chunks))]
+    return sums
 
 
 def _sweep_masks(box: bitboard.Box, table: bytearray, oracle_limit: int,
@@ -286,8 +291,8 @@ def run_box_suite(width: int, height: int, oracle_limit: int = 12) -> SuiteRepor
     (2**(width*height) bytes, 32 MB at the 25-cell cap), built in this
     process and held for the sweep.  The checks then run over chunks of
     ``CHUNK_MASKS`` masks in up to one worker per usable CPU, and the chunks'
-    reports are added up in mask order, so the report is the same for any
-    worker count.  ``oracle_checked`` counts every subset within
+    reports are added up with every violation list kept ascending, so the
+    report is the same for any worker count.  ``oracle_checked`` counts every subset within
     ``oracle_limit``; the oracle searches all of them but the 2-connected ones
     left unsolved.
     """
