@@ -6,6 +6,8 @@ makes the enumeration order part of the external contract.  The pass builds
 the box's subset table (one byte per subset) for connectivity and asks the
 :mod:`supergrid.bitboard` kernel the rest.  The box is capped at 25 cells;
 the README's timings table gives what ``verify`` and ``enumerate`` take.
+Unlike ``verify``, the pass stays in one process: ``--dedup`` keeps the first
+mask of each class, so the masks must be met in ascending order.
 
 Randomized mode grows a connected blob cell by cell and then repairs it to
 linear convexity by closing every line gap; uniform subsets of useful size
