@@ -21,10 +21,13 @@ come from the box's subset table,
 :meth:`~supergrid.bitboard.Box.two_connected_sweep`, one byte per subset
 with two flags, built by one serial walk as in ``enumerate``.  The checks
 then run over fixed-size chunks of masks on every usable CPU: this process
-and forked workers, which share the table copy-on-write, each take the next
-chunk until none is left.  Each worker adds up its chunks' reports, and the
-workers' sums are added up with every violation list kept ascending, so the
-report is the same for any worker count.  The ``Point`` predicates of
+and a ``concurrent.futures`` pool of forked workers, which share the table
+copy-on-write, each take the next chunk from a shared counter until none is
+left.  Each worker adds up its chunks' reports, and the workers' sums are
+added up with every violation list kept ascending, so the report is the same
+for any worker count.  An exception in one worker stops the others after
+their current chunk, and a worker that exits without reporting, as one
+killed for memory would, is a ``SupergridError``.  The ``Point`` predicates of
 :mod:`supergrid.classify` stay the general-input API and the reference the
 kernel is tested against.  The oracle searches the same masks with adjacency
 from the kernel's neighbour table and reads none of the sweep's predicates;
@@ -52,6 +55,7 @@ from .bitboard import mask_to_graph
 # perfbench/layers.py wraps these names on this module, hence the imports.
 from .classify import is_linear_convex, is_locally_connected, is_two_connected  # noqa: F401
 from .enumeration import EXHAUSTIVE_CELL_CAP, box_masks, enumerate_graphs  # noqa: F401
+from .errors import SupergridError
 from .grid import FORCED_VERTEX_PATTERNS, Point, SupergridGraph
 from .hamiltonian import (  # noqa: F401
     ExtensionRule,
@@ -167,8 +171,8 @@ def _tally_solve(report: SuiteReport, mask: int, g: SupergridGraph) -> bool:
 
 
 # Masks per chunk.  A box of at most 11 cells is one chunk and runs in this
-# process: one fork and join cost about 4 ms, as much as a second worker saved
-# on the 3x3 box (12 ms), while the 4x3 box went from 45 to 32 ms on two.
+# process, where a second worker would save about what starting it costs
+# (figures in CHANGES.md); a 12-cell box already gains from two.
 CHUNK_MASKS = 1 << 11
 
 
@@ -194,61 +198,31 @@ def _worker_count() -> int:
 def _take(sweep: Callable[[range], SuiteReport], chunks: list[range], counter) -> SuiteReport:
     """The sum of ``sweep(chunks[i])`` over each next index i drawn from the shared ``counter``."""
     total = sweep(range(0))  # no masks: an empty report
-    while True:
-        with counter.get_lock():
-            i = counter.value
-            counter.value = i + 1
-        if i >= len(chunks):
-            return total
-        total.add(sweep(chunks[i]))
-
-
-def _serve(sender, sweep: Callable[[range], SuiteReport], chunks: list[range], counter) -> None:
-    """A forked worker's body: send (True, its sum) or (False, the exception raised)."""
     try:
-        result = True, _take(sweep, chunks, counter)
-    except BaseException as exc:  # re-raised in the parent
-        result = False, exc
-    sender.send(result)
-
-
-def _in_workers(sweep: Callable[[range], SuiteReport], chunks: list[range],
-                workers: int) -> list[SuiteReport]:
-    """Each worker's sum of ``sweep`` over the chunks it took; every chunk is taken once.
-
-    This process and ``workers - 1`` forked ones, which share the sweep's
-    tables copy-on-write, each take the next chunk from a shared counter
-    until none is left, so a slow chunk holds up one worker only.  An
-    exception in any worker is raised here, and no forked worker outlives
-    the call.
-    """
-    import multiprocessing  # only where workers start
-
-    context = multiprocessing.get_context("fork")
-    counter = context.Value("q", 0)
-    started = []
-    try:
-        for _ in range(workers - 1):
-            receiver, sender = context.Pipe(duplex=False)
-            child = context.Process(target=_serve, args=(sender, sweep, chunks, counter))
-            child.start()
-            sender.close()
-            started.append((child, receiver))
-        sums = [_take(sweep, chunks, counter)]
-        for child, receiver in started:
-            ok, value = receiver.recv()
-            if not ok:
-                raise value
-            sums.append(value)
+        while True:
+            with counter.get_lock():
+                i = counter.value
+                counter.value = i + 1
+            if i >= len(chunks):
+                return total
+            total.add(sweep(chunks[i]))
     except BaseException:
-        for child, _ in started:
-            child.terminate()
+        counter.value = len(chunks)  # under its lock: every worker stops after its chunk
         raise
-    finally:
-        for child, receiver in started:
-            child.join()
-            receiver.close()
-    return sums
+
+
+_inherited: tuple = ()  # a forked worker's (sweep, chunks, counter)
+
+
+def _inherit(*shared) -> None:
+    """A forked worker's initializer: keep what the fork copied, never pickled."""
+    global _inherited
+    _inherited = shared
+
+
+def _take_inherited() -> SuiteReport:
+    """A forked worker's task: :func:`_take` on what :func:`_inherit` kept."""
+    return _take(*_inherited)
 
 
 def _sweep_masks(box: bitboard.Box, table: bytearray, oracle_limit: int,
@@ -290,9 +264,12 @@ def run_box_suite(width: int, height: int, oracle_limit: int = 12) -> SuiteRepor
     2-connectivity is read from the box's subset table, one byte per subset
     (2**(width*height) bytes, 32 MB at the 25-cell cap), built in this
     process and held for the sweep.  The checks then run over chunks of
-    ``CHUNK_MASKS`` masks in up to one worker per usable CPU, and the chunks'
-    reports are added up with every violation list kept ascending, so the
-    report is the same for any worker count.  ``oracle_checked`` counts every subset within
+    ``CHUNK_MASKS`` masks in this process and a ``ProcessPoolExecutor`` of
+    forked workers, up to one per usable CPU, and the report is the same for
+    any worker count.  An exception in any worker stops the others after
+    their current chunk and is raised here once the pool has joined them; a
+    worker that exits without reporting is a ``SupergridError``.  No forked
+    worker outlives the call.  ``oracle_checked`` counts every subset within
     ``oracle_limit``; the oracle searches all of them but the 2-connected ones
     left unsolved.
     """
@@ -303,6 +280,21 @@ def run_box_suite(width: int, height: int, oracle_limit: int = 12) -> SuiteRepor
     sweep = functools.partial(_sweep_masks, box, table, oracle_limit)
     chunks = _mask_chunks(len(table))
     workers = min(_worker_count(), len(chunks))
-    for part in _in_workers(sweep, chunks, workers) if workers > 1 else map(sweep, chunks):
-        report.add(part)
+    if workers == 1:
+        for chunk in chunks:
+            report.add(sweep(chunk))
+        return report
+    import multiprocessing  # only where workers start
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+    context = multiprocessing.get_context("fork")
+    counter = context.Value("q", 0)
+    try:
+        with ProcessPoolExecutor(workers - 1, context, _inherit, (sweep, chunks, counter)) as pool:
+            forked = [pool.submit(_take_inherited) for _ in range(workers - 1)]
+            report.add(_take(sweep, chunks, counter))
+            for future in forked:
+                report.add(future.result())
+    except BrokenProcessPool as exc:
+        raise SupergridError("a verify worker exited before it reported its chunks") from exc
     return report

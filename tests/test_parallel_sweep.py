@@ -7,6 +7,7 @@ tests substitute ``verification._worker_count`` and shrink
 
 from __future__ import annotations
 
+import concurrent.futures.process
 import functools
 import multiprocessing
 import os
@@ -17,7 +18,7 @@ import pytest
 
 from supergrid import verification
 from supergrid.cli import run_cli
-from supergrid.errors import SizeBoundExceeded
+from supergrid.errors import SizeBoundExceeded, SupergridError
 
 BOXES = ([(w, h) for w in range(1, 5) for h in range(1, 5)]
          + [(5, 3), (3, 5), (2, 6)] + [(1, n) for n in range(5, 9)])
@@ -116,11 +117,40 @@ def test_an_exception_here_stops_the_forked_workers(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def test_a_dead_worker_is_an_error_line(monkeypatch, capsys):
+    # A forked worker that exits without reporting, as one the kernel kills
+    # for memory would, at its first oracle call; this process waits 0.2 s at
+    # its own first call so that the worker gets a chunk.
+    oracle, parent, waited = verification.brute_force_hamiltonian_mask, os.getpid(), []
+
+    def dying_oracle(neighbours, mask, bound):
+        if os.getpid() != parent:
+            os._exit(1)
+        if not waited:
+            waited.append(mask)
+            time.sleep(0.2)
+        return oracle(neighbours, mask, bound)
+
+    monkeypatch.setattr(verification, "brute_force_hamiltonian_mask", dying_oracle)
+    monkeypatch.setattr(verification, "CHUNK_MASKS", 64)
+    monkeypatch.setattr(verification, "_worker_count", lambda: 2)
+    message = "a verify worker exited before it reported its chunks"
+    with pytest.raises(SupergridError, match=f"^{message}$"):
+        verification.run_box_suite(4, 3)
+    assert multiprocessing.active_children() == []
+    waited.clear()
+    assert run_cli(["verify", "--box", "4x3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+    assert multiprocessing.active_children() == []
+
+
 def test_one_chunk_runs_in_process(monkeypatch):
     # The 3x3 box is one chunk: with any worker count it forks nothing.
     assert verification._mask_chunks(1 << 9) == [range(1 << 9)]
     monkeypatch.setattr(verification, "_worker_count", lambda: 8)
-    monkeypatch.setattr(verification, "_in_workers", None)
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", None)
     assert verification.run_box_suite(3, 3).strict_instances == 112
 
 
