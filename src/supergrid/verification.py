@@ -171,8 +171,8 @@ def _tally_solve(report: SuiteReport, mask: int, g: SupergridGraph) -> bool:
 
 
 # Masks per chunk.  A box of at most 11 cells is one chunk and runs in this
-# process, where a second worker would save about what starting it costs
-# (figures in CHANGES.md); a 12-cell box already gains from two.
+# process: on a box that small a second worker costs more to start and hand
+# its task than it saves (figures in CHANGES.md).
 CHUNK_MASKS = 1 << 11
 
 
