@@ -17,8 +17,9 @@ order is the (y, x) vertex order used everywhere else in the library.  A
 the oracle and the subset table every box pass reads its connectivity from
 (``verify``, ``enumerate``): one byte per subset, bit 0 its connected flag
 and bit 1 its 2-connected flag, filled by one ascending walk over the whole
-box and returned as a ``bytearray`` that ``verify``'s forked workers share.
-The line tables grow linearly with the box.
+box: into a ``bytearray``, or, in ``verify`` on several CPUs, chunk by chunk
+into a shared mapping whose filled chunks its forked workers check while the
+walk goes on.  The line tables grow linearly with the box.
 
 Connectivity is a flood fill by king-move dilation, done with shifts and
 column masks over the whole board; the same dilation gives the fringe of a
@@ -138,20 +139,29 @@ class Box:
     def two_connected_sweep(self) -> bytearray:
         """One byte per subset of the box: bit 0 if it is connected, bit 1 if 2-connected.
 
+        2-connected implies connected, so a byte is 0, 1 or 3: 64 KB at 4x4,
+        1 MB at 5x4, 32 MB at 25 cells.  This is :meth:`fill_two_connected`
+        over the whole box.
+        """
+        table = bytearray(self.full + 1)
+        self.fill_two_connected(table, range(self.full + 1))
+        return table
+
+    def fill_two_connected(self, table, masks: range) -> None:
+        """Write the :meth:`two_connected_sweep` byte of each of ``masks`` into ``table``.
+
         A subset with two or more cells is connected iff dropping some cell v
         leaves it connected and holding a neighbour of v (take v a leaf of a
         spanning tree); it is 2-connected iff it has three or more cells and
         every such drop leaves it connected, so the drops stop once one
-        connects and one disconnects.  The walk ascends over the whole box, so
-        it meets every one-smaller submask first.  2-connected implies
-        connected, so a byte is 0, 1 or 3: 64 KB at 4x4, 1 MB at 5x4, 32 MB at
-        25 cells.  Answers as its references :meth:`is_connected` and the
+        connects and one disconnects.  ``masks`` ascend and every mask below
+        them must already be filled, so each one-smaller submask is read
+        filled.  Answers as its references :meth:`is_connected` and the
         tests' one flood per vertex ``reference_bitboard.is_two_connected``,
         not the ring rule.
         """
-        table = bytearray(self.full + 1)
         neighbours = self.neighbours
-        for mask in range(self.full + 1):
+        for mask in masks:
             no_cut = True
             connected = mask & (mask - 1) == 0  # at most one cell
             m = mask
@@ -164,7 +174,6 @@ class Box:
                 elif not connected and neighbours[low.bit_length() - 1] & rest:
                     connected = True
             table[mask] = 3 if no_cut and mask.bit_count() >= 3 else connected
-        return table
 
     def is_linear_convex(self, mask: int) -> bool:
         """True iff every lattice line meets the subset in one contiguous run.

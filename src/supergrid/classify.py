@@ -183,12 +183,13 @@ def is_two_connected(g: SupergridGraph, nbrs: Sequence[Sequence[int]] | None = N
 def local_connectivity_violation(g: SupergridGraph) -> ViolationWitness | None:
     """First vertex (lex order) whose induced neighborhood is disconnected.
 
-    A vertex's eight neighbour memberships, in Direction order, go through
-    the ring rule :func:`~supergrid.grid.ring_cuts`.
+    A vertex's eight neighbour memberships, in Direction order and as 0 or 1
+    (``~`` on a bool is deprecated), go through the ring rule
+    :func:`~supergrid.grid.ring_cuts`.
     """
-    cells = {(p.x, p.y) for p in g.vertices}
+    cells = dict.fromkeys(((p.x, p.y) for p in g.vertices), 1)
     for v in g.sorted_vertices():
-        if ring_cuts(*[(v.x + dx, v.y + dy) in cells for dx, dy in OFFSETS]):
+        if ring_cuts(*[cells.get((v.x + dx, v.y + dy), 0) for dx, dy in OFFSETS]):
             return ViolationWitness(predicate="locally_connected", points=(v,))
     return None
 

@@ -17,17 +17,19 @@ The pass runs on masks: every predicate comes from the
 :mod:`supergrid.bitboard` kernel, and only the strict instances become
 ``SupergridGraph`` objects, handed to the solver's seed-and-extend core
 without re-running its ``Point`` precheck.  Connectivity and 2-connectivity
-come from the box's subset table,
-:meth:`~supergrid.bitboard.Box.two_connected_sweep`, one byte per subset
-with two flags, built by one serial walk as in ``enumerate``.  The checks
-then run over fixed-size chunks of masks on every usable CPU: this process
-and a ``concurrent.futures`` pool of forked workers, which share the table
-copy-on-write, each take the next chunk from a shared counter until none is
-left.  Each worker adds up its chunks' reports, and the workers' sums are
-added up with every violation list kept ascending, so the report is the same
-for any worker count.  An exception in one worker stops the others after
-their current chunk, and a worker that exits without reporting, as one
-killed for memory would, is a ``SupergridError``.  The ``Point`` predicates of
+come from the box's subset table, one byte per subset with two flags,
+filled by one serial ascending walk,
+:meth:`~supergrid.bitboard.Box.fill_two_connected`, as in ``enumerate``.
+The checks run over fixed-size chunks of masks on every usable CPU.  A
+``concurrent.futures`` pool of forked workers starts before the walk and
+shares the table as an anonymous shared mapping; each worker takes the next
+chunk from a shared counter and checks it once this process's walk has
+passed it, and after the walk this process takes chunks too, until none is
+left.  Each process adds up its chunks' reports, and the sums are added up
+with every violation list kept ascending, so the report is the same for any
+worker count.  An exception in the walk or in any check stops every process
+at its next chunk, and a worker that exits without reporting, as one killed
+for memory would, is a ``SupergridError``.  The ``Point`` predicates of
 :mod:`supergrid.classify` stay the general-input API and the reference the
 kernel is tested against.  The oracle searches the same masks with adjacency
 from the kernel's neighbour table and reads none of the sweep's predicates;
@@ -44,6 +46,7 @@ from __future__ import annotations
 import functools
 import os
 import threading
+import time
 from dataclasses import dataclass, field, fields
 from typing import Callable
 
@@ -170,9 +173,10 @@ def _tally_solve(report: SuiteReport, mask: int, g: SupergridGraph) -> bool:
     return solved
 
 
-# Masks per chunk.  A box of at most 11 cells is one chunk and runs in this
-# process: on a box that small a second worker costs more to start and hand
-# its task than it saves (figures in CHANGES.md).
+# Masks per chunk: what a process draws, and how far the walk goes between
+# two reports of its progress.  A box of at most 11 cells is one chunk and
+# runs in this process: on a box that small a second worker costs more to
+# start and hand its task than it saves (figures in CHANGES.md).
 CHUNK_MASKS = 1 << 11
 
 
@@ -195,8 +199,17 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
-def _take(sweep: Callable[[range], SuiteReport], chunks: list[range], counter) -> SuiteReport:
-    """The sum of ``sweep(chunks[i])`` over each next index i drawn from the shared ``counter``."""
+_STOPPED = -1  # the walk count once any process has raised: every process stops at its next draw
+
+
+def _take(sweep: Callable[[range], SuiteReport], chunks: list[range], counter,
+          walked) -> SuiteReport:
+    """The sum of ``sweep(chunks[i])`` over each next index i drawn from the shared ``counter``.
+
+    Chunk i is swept once ``walked``, the shared count of chunks whose table
+    bytes are filled, has passed i; ``walked`` at ``_STOPPED`` stops this at
+    its next draw, and an exception here sets it there.
+    """
     total = sweep(range(0))  # no masks: an empty report
     try:
         while True:
@@ -205,13 +218,33 @@ def _take(sweep: Callable[[range], SuiteReport], chunks: list[range], counter) -
                 counter.value = i + 1
             if i >= len(chunks):
                 return total
+            while (done := walked.value) <= i:  # read under its lock
+                if done == _STOPPED:
+                    return total
+                # Polled: a Condition's notify waits for every sleeper to
+                # wake, so one dead sleeper would hang the walk.
+                time.sleep(0.001)
             total.add(sweep(chunks[i]))
     except BaseException:
-        counter.value = len(chunks)  # under its lock: every worker stops after its chunk
+        walked.value = _STOPPED
         raise
 
 
-_inherited: tuple = ()  # a forked worker's (sweep, chunks, counter)
+def _walk(box: bitboard.Box, table, chunks: list[range], walked) -> None:
+    """Fill ``table`` chunk by chunk, and after each publish in ``walked`` how many are filled."""
+    try:
+        for n, chunk in enumerate(chunks, 1):
+            box.fill_two_connected(table, chunk)
+            with walked.get_lock():  # so the chunk's bytes are visible before the count
+                if walked.value == _STOPPED:
+                    return
+                walked.value = n
+    except BaseException:
+        walked.value = _STOPPED
+        raise
+
+
+_inherited: tuple = ()  # a forked worker's (sweep, chunks, counter, walked)
 
 
 def _inherit(*shared) -> None:
@@ -262,37 +295,47 @@ def run_box_suite(width: int, height: int, oracle_limit: int = 12) -> SuiteRepor
 
     Violations are recorded by subset mask (see :mod:`supergrid.bitboard`).
     2-connectivity is read from the box's subset table, one byte per subset
-    (2**(width*height) bytes, 32 MB at the 25-cell cap), built in this
-    process and held for the sweep.  The checks then run over chunks of
-    ``CHUNK_MASKS`` masks in this process and a ``ProcessPoolExecutor`` of
-    forked workers, up to one per usable CPU, and the report is the same for
-    any worker count.  An exception in any worker stops the others after
-    their current chunk and is raised here once the pool has joined them; a
-    worker that exits without reporting is a ``SupergridError``.  No forked
-    worker outlives the call.  ``oracle_checked`` counts every subset within
-    ``oracle_limit``; the oracle searches all of them but the 2-connected ones
-    left unsolved.
+    (2**(width*height) bytes, 32 MB at the 25-cell cap), held for the sweep.
+    With one usable CPU, or a box of one chunk of ``CHUNK_MASKS`` masks, this
+    process fills the table and then checks every chunk.  Otherwise a
+    ``ProcessPoolExecutor`` of forked workers, up to one per usable CPU in
+    all, starts first, and the table is an anonymous shared mapping that this
+    process fills chunk by chunk, publishing after each chunk how many are
+    filled; a process that draws a chunk checks it once the walk has passed
+    it, and this process draws chunks too once its walk is done.  The report
+    is the same for any worker count.  An exception in the walk or in any
+    check stops every process at its next chunk and is raised here once the
+    pool has joined them; a worker that exits without reporting is a
+    ``SupergridError``.  A worker killed while it holds the counter's or the
+    walk count's lock, a window of a few instructions, would leave the other
+    processes waiting on that lock for good.  No forked worker outlives the
+    call.  ``oracle_checked`` counts every subset within ``oracle_limit``;
+    the oracle searches all of them but the 2-connected ones left unsolved.
     """
     # box_masks is the cap check, which comes before any table is built.
     report = SuiteReport(width=width, height=height, total_subsets=len(box_masks(width, height)))
     box = bitboard.box(width, height)
-    table = box.two_connected_sweep()
-    sweep = functools.partial(_sweep_masks, box, table, oracle_limit)
-    chunks = _mask_chunks(len(table))
+    chunks = _mask_chunks(box.full + 1)
     workers = min(_worker_count(), len(chunks))
     if workers == 1:
+        sweep = functools.partial(_sweep_masks, box, box.two_connected_sweep(), oracle_limit)
         for chunk in chunks:
             report.add(sweep(chunk))
         return report
-    import multiprocessing  # only where workers start
+    import mmap  # only where workers start
+    import multiprocessing
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
     context = multiprocessing.get_context("fork")
-    counter = context.Value("q", 0)
+    counter, walked = context.Value("q", 0), context.Value("q", 0)
+    table = mmap.mmap(-1, box.full + 1)  # shared with the workers, zero-filled
+    sweep = functools.partial(_sweep_masks, box, table, oracle_limit)
+    shared = (sweep, chunks, counter, walked)
     try:
-        with ProcessPoolExecutor(workers - 1, context, _inherit, (sweep, chunks, counter)) as pool:
+        with ProcessPoolExecutor(workers - 1, context, _inherit, shared) as pool:
             forked = [pool.submit(_take_inherited) for _ in range(workers - 1)]
-            report.add(_take(sweep, chunks, counter))
+            _walk(box, table, chunks, walked)
+            report.add(_take(*shared))
             for future in forked:
                 report.add(future.result())
     except BrokenProcessPool as exc:

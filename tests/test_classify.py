@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import warnings
 
 from supergrid import (
     LineDirection,
@@ -89,6 +90,19 @@ def test_is_locally_connected_examples(block2, block3):
     # Brute-force all nine neighborhoods of the full 3x3 block.
     assert oracle_locally_connected(list(block3.vertices))
     assert is_locally_connected(block3)
+
+
+def test_local_connectivity_check_passes_ints_to_the_ring_rule(block3):
+    # ring_cuts applies ~ to its arguments, which Python 3.12 and later warn
+    # about on a bool; with warnings as errors a bool argument fails here.
+    graphs = [block3, from_points(pts((0, 0), (1, 0), (2, 0))),
+              from_points(pts((0, 0), (1, 1), (2, 2))),
+              from_points(pts((0, 0), (1, 0), (0, 1), (1, 1), (2, 2))),
+              mask_to_graph(0b0110_1111_1111_0110, 4)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert [is_locally_connected(g) for g in graphs] == [True, False, False, False, True]
+        assert classify(graphs[2]).violation_witness.points == (P(1, 1),)
 
 
 def test_classify_2x2(block2):

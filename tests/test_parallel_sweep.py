@@ -2,7 +2,9 @@
 
 The worker count is the usable CPU count, and no option changes it, so these
 tests substitute ``verification._worker_count`` and shrink
-``verification.CHUNK_MASKS`` to split small boxes into several chunks.
+``verification.CHUNK_MASKS`` to split small boxes into several chunks.  The
+workers check chunks while this process walks the subset table, so some
+tests slow the walk down to make the workers wait for it.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import time
 
 import pytest
 
-from supergrid import verification
+from supergrid import bitboard, verification
 from supergrid.cli import run_cli
 from supergrid.errors import SizeBoundExceeded, SupergridError
 
@@ -65,6 +67,93 @@ def test_violations_of_every_chunk_are_merged_in_mask_order(monkeypatch, width, 
     assert report == expected
     assert report.oracle_mismatches == sorted(report.oracle_mismatches)
     assert len(report.oracle_mismatches) == report.strict_instances > 0
+    assert multiprocessing.active_children() == []
+
+
+def _slow_walk(monkeypatch, seconds: float, fail_at: int | None = None) -> None:
+    """Sleep ``seconds`` before filling each chunk, and raise instead at mask ``fail_at``."""
+    fill = bitboard.Box.fill_two_connected
+
+    def slow_fill(box, table, masks):
+        time.sleep(seconds)
+        if masks.start == fail_at:
+            raise SizeBoundExceeded(f"stub walk failed at mask {fail_at}")
+        fill(box, table, masks)
+
+    monkeypatch.setattr(bitboard.Box, "fill_two_connected", slow_fill)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("width,height", [(4, 3), (2, 6), (3, 4)])
+def test_workers_that_outrun_the_walk_wait_for_it(monkeypatch, in_process, width, height,
+                                                   workers):
+    # The walk sleeps 0.1 s a chunk and a chunk's checks take milliseconds, so
+    # every worker waits for the walk, and with three processes one draws
+    # past the last chunk while another still waits for it.
+    expected = in_process(width, height)
+    _chunked(monkeypatch, width, height, workers)
+    _slow_walk(monkeypatch, 0.1)
+    assert verification.run_box_suite(width, height) == expected
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_every_process_sweeps_a_walked_chunk(monkeypatch, in_process, workers):
+    # In whichever process sweeps a chunk, the chunk's table bytes are final.
+    expected, sweep, parent = bitboard.box(4, 3).two_connected_sweep(), verification._sweep_masks, os.getpid()
+    swept_in_workers = multiprocessing.get_context("fork").Value("q", 0)
+
+    def checked_sweep(box, table, oracle_limit, masks):
+        assert table[masks.start:masks.stop] == expected[masks.start:masks.stop], masks
+        if masks and os.getpid() != parent:
+            with swept_in_workers.get_lock():
+                swept_in_workers.value += 1
+        return sweep(box, table, oracle_limit, masks)
+
+    monkeypatch.setattr(verification, "_sweep_masks", checked_sweep)
+    _chunked(monkeypatch, 4, 3, workers)
+    _slow_walk(monkeypatch, 0.05)
+    assert verification.run_box_suite(4, 3) == in_process(4, 3)
+    assert swept_in_workers.value > 0
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("chunk", [0, 3])
+def test_an_exception_in_the_walk_stops_every_worker(monkeypatch, capsys, workers, chunk):
+    # The workers are waiting for the walk's chunk when it raises, and only
+    # the stop signal releases them.
+    _chunked(monkeypatch, 4, 3, workers)
+    _slow_walk(monkeypatch, 0.1, chunk * verification.CHUNK_MASKS)
+    message = f"stub walk failed at mask {chunk * verification.CHUNK_MASKS}"
+    start = time.perf_counter()
+    with pytest.raises(SizeBoundExceeded, match=f"^{message}$"):
+        verification.run_box_suite(4, 3)
+    assert time.perf_counter() - start < 30
+    assert multiprocessing.active_children() == []
+    assert run_cli(["verify", "--box", "4x3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+    assert multiprocessing.active_children() == []
+
+
+def test_an_exception_in_a_worker_stops_the_walk(monkeypatch):
+    # Six chunks each walked in 1 s: a walk that went on after a worker
+    # raised at its first chunk would hold the caller for about 6 s.
+    parent = os.getpid()
+
+    def oracle(neighbours, mask, bound):
+        if os.getpid() != parent:
+            raise SizeBoundExceeded("stub bound hit in a worker")
+
+    monkeypatch.setattr(verification, "brute_force_hamiltonian_mask", oracle)
+    _chunked(monkeypatch, 4, 3, 2)
+    _slow_walk(monkeypatch, 1.0)
+    start = time.perf_counter()
+    with pytest.raises(SizeBoundExceeded, match="in a worker$"):
+        verification.run_box_suite(4, 3)
+    assert time.perf_counter() - start < 4
     assert multiprocessing.active_children() == []
 
 
