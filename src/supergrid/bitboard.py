@@ -11,7 +11,8 @@ order is the (y, x) vertex order used everywhere else in the library.  A
   box, built arithmetically in O(W*H/64) words per line;
 * ``line_families``: the same masks by family, indexed by row y, column x,
   y - x + W - 1 and x + y, with 0 for lines under three cells;
-* ``neighbours[i]``: the king-move neighbour mask of cell i.
+* ``neighbours[i]``: the king-move neighbour mask of cell i;
+* ``linear_convex_masks``: every linearly convex subset, ascending.
 
 ``neighbours`` takes W*H bits per cell, so it is built on first use, only by
 the oracle and the subset table every box pass reads its connectivity from
@@ -20,6 +21,14 @@ and bit 1 its 2-connected flag, filled by one ascending walk over the whole
 box: into a ``bytearray``, or, in ``verify`` on several CPUs, chunk by chunk
 into a shared mapping whose filled chunks its forked workers check while the
 walk goes on.  The line tables grow linearly with the box.
+
+The box passes read linear convexity from ``linear_convex_masks``, also built
+on first use and kept, which is generated rather than filtered: each row is
+empty or one run, chosen from the top row (the highest bits) down in
+ascending order, and a run is rejected, by one AND, when it touches a
+vertical, diagonal or antidiagonal line that a row above met and a later row
+left.  ``is_linear_convex`` tests one mask against every line; random growth
+and the ``require`` filters outside the box passes use it.
 
 Connectivity is a flood fill by king-move dilation, done with shifts and
 column masks over the whole board; the same dilation gives the fringe of a
@@ -69,7 +78,7 @@ class Box:
 
     # Slots, not cached_property: an instance __dict__ slows the predicates' attribute loads.
     __slots__ = ("width", "height", "full", "_not_first_col", "_not_last_col",
-                 "lines", "line_families", "_neighbours")
+                 "lines", "line_families", "_neighbours", "_linear_convex_masks")
 
     def __init__(self, width: int, height: int):
         self.width = width
@@ -93,7 +102,7 @@ class Box:
             tuple(((1 << s * n) - 1) // ((1 << s) - 1) << b if n >= 3 else 0 for b, s, n in runs)
             for runs in families)
         self.lines = tuple(line for family in self.line_families for line in family if line)
-        self._neighbours = None
+        self._neighbours = self._linear_convex_masks = None
 
     @property
     def neighbours(self) -> tuple[int, ...]:
@@ -102,6 +111,46 @@ class Box:
             self._neighbours = tuple(self.dilate(1 << i, full) ^ (1 << i)
                                      for i in range(self.width * self.height))
         return self._neighbours
+
+    @property
+    def linear_convex_masks(self) -> list[int]:
+        """Every linearly convex subset mask of the box, ascending, the empty one first.
+
+        Each row is empty or one run, so the masks are generated row by row
+        from the top (the highest bits) down, each row's choices tried in
+        ascending order, which lists them ascending with no sort.  Every other
+        line meets a row at most once, so a mask is linearly convex iff each
+        line's rows in it are consecutive.  Per family (vertical, diagonal,
+        antidiagonal) two masks over the current row's columns hold which
+        lines were met and which were met and then left; a run that touches a
+        left line is rejected, and the diagonal states shift one column per
+        row, the two families in opposite directions.  Built on first use and
+        kept; it ends with the full box, which is linearly convex.
+        """
+        if self._linear_convex_masks is None:
+            width, row = self.width, (1 << self.width) - 1
+            runs = [0] + sorted(((1 << n) - 1) << x for n in range(1, width + 1)
+                                for x in range(width - n + 1))
+            fitting = {}  # left columns -> the runs that avoid them, ascending
+            # (mask so far, then met and left of vertical, diagonal, antidiagonal lines)
+            states = [(0, 0, 0, 0, 0, 0, 0)]
+            for y in reversed(range(self.height)):
+                grown = []
+                for mask, vm, vl, dm, dl, am, al in states:
+                    # From row y + 1 to row y a diagonal moves one column left, an antidiagonal right.
+                    dm, dl, am, al = dm >> 1, dl >> 1, am << 1 & row, al << 1 & row
+                    left = vl | dl | al
+                    if (fits := fitting.get(left)) is None:
+                        fits = fitting[left] = [r for r in runs if not r & left]
+                    mask <<= width
+                    if y:
+                        grown += [(mask | r, vm | r, vl | vm & ~r, dm | r, dl | dm & ~r,
+                                   am | r, al | am & ~r) for r in fits]
+                    else:
+                        grown += [mask | r for r in fits]
+                states = grown
+            self._linear_convex_masks = states
+        return self._linear_convex_masks
 
     def dilate(self, mask: int, within: int) -> int:
         """Cells of ``within`` that are in the subset or one king move from it."""

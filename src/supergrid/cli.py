@@ -124,8 +124,7 @@ def _cmd_enumerate(args) -> int:
     with open(args.csv, "w", encoding="utf-8", newline="") if args.csv else nullcontext() as handle:
         # Every predicate is invariant under the symmetries, so a --dedup class is
         # judged on its first mask; only the rule counts need its canonical form.
-        for mask, connected, two_connected, canon in _box_subsets(spec):
-            linear_convex = kernel.is_linear_convex(mask)
+        for mask, connected, two_connected, linear_convex, canon in _box_subsets(spec):
             total += 1
             n_connected += connected
             n_two_connected += two_connected

@@ -3,7 +3,9 @@
 Exhaustive mode walks every subset of a width x height cell box as a bitmask
 in row-major order (bit i = cell (i % width, i // width)), ascending, which
 makes the enumeration order part of the external contract.  The pass builds
-the box's subset table (one byte per subset) for connectivity and asks the
+the box's subset table (one byte per subset) for connectivity, reads linear
+convexity from the box's generated ascending list of linearly convex masks
+(walking only that list when ``linear_convex`` is required), and asks the
 :mod:`supergrid.bitboard` kernel the rest.  The box is capped at 25 cells;
 the README's timings table gives what ``verify`` and ``enumerate`` take.
 Unlike ``verify``, the pass stays in one process: ``--dedup`` keeps the first
@@ -82,20 +84,25 @@ def box_masks(width: int, height: int) -> range:
     return range(1 << cells)
 
 
-def _box_subsets(spec: EnumSpec) -> Iterator[tuple[int, int, int, SupergridGraph | None]]:
-    """(mask, connected, two_connected, canonical form or None) of each subset kept.
+def _box_subsets(spec: EnumSpec) -> Iterator[tuple[int, int, int, bool, SupergridGraph | None]]:
+    """(mask, connected, two_connected, linear_convex, canonical form or None) of each subset kept.
 
-    Ascending; the flags come from the box's subset table, the rest of
-    ``require`` from the kernel.  With ``dedup_symmetry`` only the first mask
-    of each class is kept, with its ``canonical_form``.
+    Ascending; the connectivity flags come from the box's subset table,
+    linear convexity from a pointer into the box's ascending
+    ``linear_convex_masks``, the only masks walked when ``require`` holds it,
+    and the rest of ``require`` from the kernel.  With ``dedup_symmetry``
+    only the first mask of each class is kept, with its ``canonical_form``.
     """
     box_masks(spec.width, spec.height)  # the cap check comes before any table is built
     kernel = bitboard.box(spec.width, spec.height)
-    checks = _mask_checks(kernel, spec.require - {"connected", "two_connected"})
+    checks = _mask_checks(kernel, spec.require - {"connected", "two_connected", "linear_convex"})
     # The least table byte that passes: 2-connected (3) implies connected (1).
     need = 3 if "two_connected" in spec.require else int("connected" in spec.require)
     min_vertices, dedup, seen = spec.min_vertices, spec.dedup_symmetry, set()
-    for mask, flags in enumerate(kernel.two_connected_sweep()):
+    table, convex = kernel.two_connected_sweep(), kernel.linear_convex_masks
+    at = 0  # convex[at] is the least linearly convex mask not below the last one kept
+    for mask in convex if "linear_convex" in spec.require else range(len(table)):
+        flags = table[mask]
         if (flags < need or mask.bit_count() < min_vertices
                 or checks and not all(check(mask) for check in checks)):
             continue
@@ -105,7 +112,9 @@ def _box_subsets(spec: EnumSpec) -> Iterator[tuple[int, int, int, SupergridGraph
             if canon in seen:
                 continue
             seen.add(canon)
-        yield mask, flags & 1, flags >> 1, canon
+        while convex[at] < mask:  # the full box is last, so this stops within the list
+            at += 1
+        yield mask, flags & 1, flags >> 1, convex[at] == mask, canon
 
 
 def enumerate_graphs(spec: EnumSpec) -> Iterator[SupergridGraph]:
@@ -114,7 +123,7 @@ def enumerate_graphs(spec: EnumSpec) -> Iterator[SupergridGraph]:
     Only kept subsets are decoded; with ``dedup_symmetry`` each class yields
     its ``canonical_form(g)`` once, under the dihedral group plus translation.
     """
-    for mask, _, _, canon in _box_subsets(spec):
+    for mask, _, _, _, canon in _box_subsets(spec):
         yield mask_to_graph(mask, spec.width) if canon is None else canon
 
 

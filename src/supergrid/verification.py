@@ -19,7 +19,11 @@ The pass runs on masks: every predicate comes from the
 without re-running its ``Point`` precheck.  Connectivity and 2-connectivity
 come from the box's subset table, one byte per subset with two flags,
 filled by one serial ascending walk,
-:meth:`~supergrid.bitboard.Box.fill_two_connected`, as in ``enumerate``.
+:meth:`~supergrid.bitboard.Box.fill_two_connected`, and linear convexity
+from the box's generated ascending list of linearly convex masks, as in
+``enumerate``.  A chunk's checks of linearly convex masks (forced vertices,
+and on the 2-connected ones local connectivity and the solve) run on its
+slice of that list; only the oracle's work loops over every mask.
 The checks run over fixed-size chunks of masks on every usable CPU.  A
 ``concurrent.futures`` pool of forked workers starts before the walk and
 shares the table as an anonymous shared mapping; each worker takes the next
@@ -43,6 +47,7 @@ but is not itself a violation.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import os
 import threading
@@ -260,32 +265,36 @@ def _take_inherited() -> SuiteReport:
 
 def _sweep_masks(box: bitboard.Box, table: bytearray, oracle_limit: int,
                  masks: range) -> SuiteReport:
-    """Every check of :func:`run_box_suite` on ``masks``, in a report of their own."""
+    """Every check of :func:`run_box_suite` on ``masks``, in a report of their own.
+
+    The linearly convex masks are the chunk's slice of the box's list; the
+    loop over every mask is the oracle's.
+    """
     report = SuiteReport(width=box.width, height=box.height)
-    is_linear_convex, neighbours, width = box.is_linear_convex, box.neighbours, box.width
-    linear_convex = two_connected = oracle_checked = 0  # per-mask counts, stored at the end
-    for mask in masks:
-        tc = table[mask] >> 1
-        lc = is_linear_convex(mask)
-        if lc:
-            linear_convex += 1
-            if box.forced_vertex_violations(mask):
-                report.forced_vertex_violations.append(mask)
-        two_connected += tc
-        solved = False
-        if lc and tc:
+    convex = box.linear_convex_masks
+    lo = bisect.bisect_left(convex, masks.start)
+    hi = bisect.bisect_left(convex, masks.stop, lo)
+    report.linear_convex = hi - lo
+    report.two_connected = table[masks.start:masks.stop].count(3)
+    solved = {}  # strict mask -> solved
+    for mask in convex[lo:hi]:
+        if box.forced_vertex_violations(mask):
+            report.forced_vertex_violations.append(mask)
+        if table[mask] == 3:
             if not box.is_locally_connected(mask):
                 report.local_connectivity_violations.append(mask)
-            solved = _tally_solve(report, mask, mask_to_graph(mask, width))
+            solved[mask] = _tally_solve(report, mask, mask_to_graph(mask, box.width))
+    neighbours, oracle_checked = box.neighbours, 0
+    for mask in masks:
         if mask.bit_count() <= oracle_limit:
             oracle_checked += 1
-            if tc and not solved:  # no oracle answer can be a mismatch here
+            tc, found = table[mask] >> 1, solved.get(mask, False)
+            if tc and not found:  # no oracle answer can be a mismatch here
                 continue
             # box_masks caps a box at EXHAUSTIVE_CELL_CAP cells, past the oracle's default bound.
             oracle_cycle = brute_force_hamiltonian_mask(neighbours, mask, EXHAUSTIVE_CELL_CAP)
-            if (oracle_cycle is not None and not tc) or (oracle_cycle is None and solved):
+            if (oracle_cycle is not None and not tc) or (oracle_cycle is None and found):
                 report.oracle_mismatches.append(mask)
-    report.linear_convex, report.two_connected = linear_convex, two_connected
     report.oracle_checked = oracle_checked
     return report
 
@@ -329,6 +338,7 @@ def run_box_suite(width: int, height: int, oracle_limit: int = 12) -> SuiteRepor
     context = multiprocessing.get_context("fork")
     counter, walked = context.Value("q", 0), context.Value("q", 0)
     table = mmap.mmap(-1, box.full + 1)  # shared with the workers, zero-filled
+    box.linear_convex_masks  # generated once, here, so the forked workers inherit it
     sweep = functools.partial(_sweep_masks, box, table, oracle_limit)
     shared = (sweep, chunks, counter, walked)
     try:

@@ -156,6 +156,27 @@ def test_two_connected_sweep_matches_floods(width, height):
         box.is_connected(m) | ref.is_two_connected(box, m) << 1 for m in range(1 << width * height)]
 
 
+GENERATED_BOXES = sorted({(w, h) for w in range(1, 5) for h in range(1, 5)}
+                         | {(5, 3), (3, 5), (2, 6), (6, 2)}
+                         | {(1, n) for n in range(1, 11)} | {(n, 1) for n in range(1, 11)})
+
+
+@pytest.mark.parametrize("width,height", GENERATED_BOXES)
+def test_linear_convex_masks_are_the_filter_of_every_mask(width, height):
+    # Equal to the ascending filter, so ascending and free of duplicates too.
+    box = bitboard.Box(width, height)
+    masks = box.linear_convex_masks
+    assert masks == [m for m in range(box.full + 1) if box.is_linear_convex(m)]
+    assert box.linear_convex_masks is masks
+
+
+@pytest.mark.parametrize("width,height,count", [(5, 5, 36_947), (6, 6, 428_187)])
+def test_linear_convex_mask_counts(width, height, count):
+    masks = bitboard.Box(width, height).linear_convex_masks
+    assert len(masks) == count
+    assert masks[0] == 0 and masks[-1] == (1 << width * height) - 1
+
+
 def test_forced_vertex_patterns_match_point_checker_on_3x3_universe():
     # Also every mask of larger and non-square boxes, where the kernel's
     # column masks matter; counts of flagged masks are the Point checker's.

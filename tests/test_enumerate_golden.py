@@ -69,3 +69,17 @@ def test_cli_enumerate_decodes_only_the_strict_subsets(monkeypatch, capsys):
     assert len(decoded) == 1773
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "4d8116e4dabc29aba2add85c5e0020db3feeba04708da7641d07b5194147bfe2")
+
+
+def test_cli_enumerate_tests_no_mask_for_linear_convexity(monkeypatch, tmp_path, capsys):
+    """Linear convexity comes from the box's generated list, with or without the filter."""
+    def no_test(self, mask):
+        raise AssertionError("enumerate tested a mask for linear convexity")
+
+    monkeypatch.setattr(bitboard.Box, "is_linear_convex", no_test)
+    for name, argv in [("enumerate_3x3", ["--box", "3x3"]),
+                       ("enumerate_4x3_lc_local_min4_dedup", ["--box", "4x3", "--require",
+                        "linear_convex,locally_connected", "--min", "4", "--dedup"])]:
+        assert run_cli(["enumerate", *argv]) == 0
+        with open(os.path.join(GOLDEN, name + ".txt"), encoding="utf-8") as fh:
+            assert capsys.readouterr().out == fh.read()

@@ -20,7 +20,8 @@ from supergrid import (
     random_graph,
 )
 from supergrid import bitboard
-from supergrid.enumeration import PREDICATES
+from supergrid.bitboard import mask_to_graph
+from supergrid.enumeration import PREDICATES, _box_subsets
 
 from conftest import (
     P,
@@ -116,6 +117,32 @@ def test_enumerate_two_connected_reads_the_subset_table(box_sweep, monkeypatch, 
             m for m in two_connected if m.bit_count() >= min_vertices]
     strict = EnumSpec(4, 4, require={"two_connected", "linear_convex"})
     assert _masks_4x4(enumerate_graphs(strict)) == box_sweep.strict_masks
+
+
+@pytest.mark.parametrize("dedup", [False, True])
+@pytest.mark.parametrize("min_vertices", [0, 5])
+@pytest.mark.parametrize("width,height", [(4, 4), (5, 3)])
+def test_linear_convex_enumeration_is_the_filter(width, height, min_vertices, dedup):
+    # The enumeration walks the box's generated list; the filter tests every mask.
+    box, want, seen = bitboard.box(width, height), [], set()
+    for mask in range(box.full + 1):
+        if box.is_linear_convex(mask) and mask.bit_count() >= min_vertices:
+            g = mask_to_graph(mask, width)
+            if dedup:
+                if (g := canonical_form(g)) in seen:
+                    continue
+                seen.add(g)
+            want.append(g.vertices)
+    spec = EnumSpec(width, height, min_vertices, {"linear_convex"}, dedup)
+    assert [g.vertices for g in enumerate_graphs(spec)] == want
+
+
+@pytest.mark.parametrize("require", [set(), {"connected"}, {"two_connected"}])
+def test_box_subsets_flag_linear_convexity(require):
+    box = bitboard.box(4, 4)
+    kept = list(_box_subsets(EnumSpec(4, 4, min_vertices=3, require=require)))
+    assert any(lc for _, _, _, lc, _ in kept)
+    assert [lc for _, _, _, lc, _ in kept] == [box.is_linear_convex(m) for m, *_ in kept]
 
 
 def test_canonical_form_translation():

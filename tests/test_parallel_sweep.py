@@ -4,15 +4,20 @@ The worker count is the usable CPU count, and no option changes it, so these
 tests substitute ``verification._worker_count`` and shrink
 ``verification.CHUNK_MASKS`` to split small boxes into several chunks.  The
 workers check chunks while this process walks the subset table, so some
-tests slow the walk down to make the workers wait for it.
+tests slow the walk down to make the workers wait for it.  The tests that
+bound how long a call may take fail at that bound, from a ``SIGALRM`` timer
+in this process, instead of waiting for a call that never returns; a thread
+would do instead, but would make ``_worker_count`` run the box in one process.
 """
 
 from __future__ import annotations
 
 import concurrent.futures.process
+import contextlib
 import functools
 import multiprocessing
 import os
+import signal
 import threading
 import time
 
@@ -21,6 +26,8 @@ import pytest
 from supergrid import bitboard, verification
 from supergrid.cli import run_cli
 from supergrid.errors import SizeBoundExceeded, SupergridError
+
+import reference_verification as ref
 
 BOXES = ([(w, h) for w in range(1, 5) for h in range(1, 5)]
          + [(5, 3), (3, 5), (2, 6)] + [(1, n) for n in range(5, 9)])
@@ -53,6 +60,34 @@ def test_merged_report_equals_in_process_report(monkeypatch, in_process, width, 
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("chunk", [64, 1])
+@pytest.mark.parametrize("width,height", [(3, 3), (4, 3), (2, 6), (4, 4)])
+def test_every_chunk_sweeps_as_the_per_mask_reference(monkeypatch, width, height, chunk, workers):
+    # The reference tests every mask for linear convexity; the sweep reads the
+    # box's generated list.  At one or 64 masks a chunk, some chunks hold no
+    # linearly convex mask.
+    sweep, convex_free = verification._sweep_masks, multiprocessing.get_context("fork").Value("q", 0)
+    monkeypatch.setattr(verification, "_worker_count", lambda: 1)
+    monkeypatch.setattr(verification, "_sweep_masks", ref.sweep_masks)
+    expected = verification.run_box_suite(width, height)
+
+    def checked_sweep(box, table, oracle_limit, masks):
+        report = sweep(box, table, oracle_limit, masks)
+        assert report == ref.sweep_masks(box, table, oracle_limit, masks), masks
+        if masks and not report.linear_convex:
+            with convex_free.get_lock():
+                convex_free.value += 1
+        return report
+
+    monkeypatch.setattr(verification, "_sweep_masks", checked_sweep)
+    monkeypatch.setattr(verification, "CHUNK_MASKS", chunk)
+    monkeypatch.setattr(verification, "_worker_count", lambda: workers)
+    assert verification.run_box_suite(width, height) == expected
+    assert convex_free.value > 0
+    assert multiprocessing.active_children() == []
+
+
 @pytest.mark.parametrize("workers", WORKERS)
 @pytest.mark.parametrize("width,height", [(4, 3), (3, 4), (4, 4)])
 def test_violations_of_every_chunk_are_merged_in_mask_order(monkeypatch, width, height, workers):
@@ -68,6 +103,23 @@ def test_violations_of_every_chunk_are_merged_in_mask_order(monkeypatch, width, 
     assert report.oracle_mismatches == sorted(report.oracle_mismatches)
     assert len(report.oracle_mismatches) == report.strict_instances > 0
     assert multiprocessing.active_children() == []
+
+
+@contextlib.contextmanager
+def _within(seconds: float):
+    """Fail the test, and end every forked child, if the block runs ``seconds`` or more."""
+    def expire(signum, frame):
+        for child in multiprocessing.active_children():
+            child.terminate()
+        pytest.fail(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _slow_walk(monkeypatch, seconds: float, fail_at: int | None = None) -> None:
@@ -127,7 +179,7 @@ def test_an_exception_in_the_walk_stops_every_worker(monkeypatch, capsys, worker
     _slow_walk(monkeypatch, 0.1, chunk * verification.CHUNK_MASKS)
     message = f"stub walk failed at mask {chunk * verification.CHUNK_MASKS}"
     start = time.perf_counter()
-    with pytest.raises(SizeBoundExceeded, match=f"^{message}$"):
+    with _within(30), pytest.raises(SizeBoundExceeded, match=f"^{message}$"):
         verification.run_box_suite(4, 3)
     assert time.perf_counter() - start < 30
     assert multiprocessing.active_children() == []
@@ -151,7 +203,7 @@ def test_an_exception_in_a_worker_stops_the_walk(monkeypatch):
     _chunked(monkeypatch, 4, 3, 2)
     _slow_walk(monkeypatch, 1.0)
     start = time.perf_counter()
-    with pytest.raises(SizeBoundExceeded, match="in a worker$"):
+    with _within(4), pytest.raises(SizeBoundExceeded, match="in a worker$"):
         verification.run_box_suite(4, 3)
     assert time.perf_counter() - start < 4
     assert multiprocessing.active_children() == []
@@ -200,7 +252,7 @@ def test_an_exception_here_stops_the_forked_workers(monkeypatch):
     monkeypatch.setattr(verification, "CHUNK_MASKS", 64)
     monkeypatch.setattr(verification, "_worker_count", lambda: 2)
     start = time.perf_counter()
-    with pytest.raises(SizeBoundExceeded):
+    with _within(30), pytest.raises(SizeBoundExceeded):
         verification.run_box_suite(4, 3)
     assert time.perf_counter() - start < 30
     assert multiprocessing.active_children() == []

@@ -20,7 +20,7 @@ from supergrid import (
     is_linear_convex,
     is_two_connected,
 )
-from supergrid import verification
+from supergrid import bitboard, verification
 from supergrid.cli import run_cli
 from supergrid.verification import (
     forced_vertex_violations,
@@ -63,6 +63,18 @@ def test_box_suite_3x3_counts_and_cleanliness():
     assert report.fallback_fired == 0
     assert report.oracle_checked == 512
     assert "violations: 0" in report.summary_lines()[-1]
+
+
+def test_box_suite_tests_no_mask_for_linear_convexity(monkeypatch, capsys):
+    # Linear convexity comes from the box's generated list, in this process
+    # or in forked workers, whichever the usable CPUs give.
+    def no_test(self, mask):
+        raise AssertionError("verify tested a mask for linear convexity")
+
+    monkeypatch.setattr(bitboard.Box, "is_linear_convex", no_test)
+    assert run_cli(["verify", "--box", "4x4"]) == 0
+    with open(os.path.join(GOLDEN, "verify_4x4.txt"), encoding="utf-8") as fh:
+        assert capsys.readouterr().out == fh.read()
 
 
 def test_box_suite_has_teeth(monkeypatch):
