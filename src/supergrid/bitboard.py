@@ -114,18 +114,13 @@ class Box:
 
     @property
     def linear_convex_masks(self) -> list[int]:
-        """Every linearly convex subset mask of the box, ascending, the empty one first.
+        """Every linearly convex subset mask of the box, ascending, from 0 to the full box.
 
-        Each row is empty or one run, so the masks are generated row by row
-        from the top (the highest bits) down, each row's choices tried in
-        ascending order, which lists them ascending with no sort.  Every other
-        line meets a row at most once, so a mask is linearly convex iff each
-        line's rows in it are consecutive.  Per family (vertical, diagonal,
-        antidiagonal) two masks over the current row's columns hold which
-        lines were met and which were met and then left; a run that touches a
-        left line is rejected, and the diagonal states shift one column per
-        row, the two families in opposite directions.  Built on first use and
-        kept; it ends with the full box, which is linearly convex.
+        Generated a row at a time, as the module docstring says.  The pruning
+        is exact: every line but a row meets each row at most once, so a mask
+        is linearly convex iff each such line's rows in it are consecutive.
+        Per family two masks over the row's columns hold the lines met and
+        those met and then left.  Built on first use and kept.
         """
         if self._linear_convex_masks is None:
             width, row = self.width, (1 << self.width) - 1

@@ -101,8 +101,8 @@ def _box_subsets(spec: EnumSpec) -> Iterator[tuple[int, int, int, bool, Supergri
     min_vertices, dedup, seen = spec.min_vertices, spec.dedup_symmetry, set()
     table, convex = kernel.two_connected_sweep(), kernel.linear_convex_masks
     at = 0  # convex[at] is the least linearly convex mask not below the last one kept
-    for mask in convex if "linear_convex" in spec.require else range(len(table)):
-        flags = table[mask]
+    walk = ((m, table[m]) for m in convex) if "linear_convex" in spec.require else enumerate(table)
+    for mask, flags in walk:
         if (flags < need or mask.bit_count() < min_vertices
                 or checks and not all(check(mask) for check in checks)):
             continue
