@@ -27,8 +27,8 @@ on first use and kept, which is generated rather than filtered: each row is
 empty or one run, chosen from the top row (the highest bits) down in
 ascending order, and a run is rejected, by one AND, when it touches a
 vertical, diagonal or antidiagonal line that a row above met and a later row
-left.  ``is_linear_convex`` tests one mask against every line; random growth
-and the ``require`` filters outside the box passes use it.
+left.  ``is_linear_convex`` tests one mask against every line, for random
+growth and as the tests' reference.
 
 Connectivity is a flood fill by king-move dilation, done with shifts and
 column masks over the whole board; the same dilation gives the fringe of a

@@ -6,8 +6,8 @@ tests substitute ``verification._worker_count`` and shrink
 workers check chunks while this process walks the subset table, so some
 tests slow the walk down to make the workers wait for it.  The tests that
 bound how long a call may take fail at that bound, from a ``SIGALRM`` timer
-in this process, instead of waiting for a call that never returns; a thread
-would do instead, but would make ``_worker_count`` run the box in one process.
+in this process, instead of waiting for a call that never returns; a watchdog
+thread would make ``_worker_count`` return 1 and run the box in one process.
 """
 
 from __future__ import annotations
