@@ -15,20 +15,20 @@ order is the (y, x) vertex order used everywhere else in the library.  A
 * ``linear_convex_masks``: every linearly convex subset, ascending.
 
 ``neighbours`` takes W*H bits per cell, so it is built on first use, only by
-the oracle and the subset table every box pass reads its connectivity from
-(``verify``, ``enumerate``): one byte per subset, bit 0 its connected flag
-and bit 1 its 2-connected flag, filled by one ascending walk over the whole
-box: into a ``bytearray``, or, in ``verify`` on several CPUs, chunk by chunk
-into a shared mapping whose filled chunks its forked workers check while the
-walk goes on.  The line tables grow linearly with the box.
+the oracle and the whole-box passes' subset table (``verify``, and
+``enumerate`` without ``linear_convex`` required): one byte per subset, bit 0
+its connected flag and bit 1 its 2-connected flag, filled by one ascending walk
+over the whole box: into a ``bytearray``, or, in ``verify`` on several CPUs,
+chunk by chunk into a shared mapping whose filled chunks its forked workers
+check while the walk goes on.  The line tables grow linearly with the box.
 
 The box passes read linear convexity from ``linear_convex_masks``, also built
 on first use and kept, which is generated rather than filtered: each row is
 empty or one run, chosen from the top row (the highest bits) down in
 ascending order, and a run is rejected, by one AND, when it touches a
 vertical, diagonal or antidiagonal line that a row above met and a later row
-left.  ``is_linear_convex`` tests one mask against every line, for random
-growth and as the tests' reference.
+left.  ``is_linear_convex`` tests one mask against every line; it is the
+tests' reference only, since random growth is linearly convex by construction.
 
 Connectivity is a flood fill by king-move dilation, done with shifts and
 column masks over the whole board; the same dilation gives the fringe of a
@@ -224,6 +224,7 @@ class Box:
 
         Bit order is monotone along every line, so a run is contiguous iff the
         line holds no absent cell between its lowest and highest member bit.
+        The library never calls it; it is the tests' reference only.
         """
         for line in self.lines:
             seg = mask & line

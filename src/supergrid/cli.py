@@ -118,18 +118,19 @@ def _cmd_enumerate(args) -> int:
         raise SupergridError(f"unknown predicates: {','.join(sorted(unknown))}")
     box_masks(width, height)  # the cap check comes before the CSV file is created
     spec = EnumSpec(width, height, args.min_vertices, require, args.dedup)
-    kernel = bitboard.box(width, height)
+    kernel, local = bitboard.box(width, height), "locally_connected" in require
     total = n_connected = n_two_connected = n_linear_convex = n_locally_connected = 0
     tally = SuiteReport(width, height)
     with open(args.csv, "w", encoding="utf-8", newline="") if args.csv else nullcontext() as handle:
         # Every predicate is invariant under the symmetries, so a --dedup class is
         # judged on its first mask; only the rule counts need its canonical form.
+        # With locally_connected required, every mask kept has passed it already.
         for mask, connected, two_connected, linear_convex, canon in _box_subsets(spec):
             total += 1
             n_connected += connected
             n_two_connected += two_connected
             n_linear_convex += linear_convex
-            n_locally_connected += kernel.is_locally_connected(mask)
+            n_locally_connected += local or kernel.is_locally_connected(mask)
             if two_connected and linear_convex:
                 _tally_solve(tally, mask, canon or bitboard.mask_to_graph(mask, width))
         row = {"box": f"{width}x{height}", "total": total,  # then the PREDICATES order

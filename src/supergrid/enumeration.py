@@ -1,15 +1,14 @@
 """Exhaustive and randomized generation of supergrid graphs in a box.
 
-Exhaustive mode walks every subset of a width x height cell box as a bitmask
-in row-major order (bit i = cell (i % width, i // width)), ascending, which
-makes the enumeration order part of the external contract.  The pass builds
-the box's subset table (one byte per subset) for connectivity, reads linear
-convexity from the box's generated ascending list of linearly convex masks
-(walking only that list when ``linear_convex`` is required), and asks the
-:mod:`supergrid.bitboard` kernel the rest.  The box is capped at 25 cells;
-the README's timings table gives what ``verify`` and ``enumerate`` take.
-Unlike ``verify``, the pass stays in one process: ``--dedup`` keeps the first
-mask of each class, so the masks must be met in ascending order.
+Exhaustive mode walks subsets of a width x height cell box as bitmasks in
+row-major order (bit i = cell (i % width, i // width)), ascending, which
+makes the enumeration order part of the external contract.  With
+``linear_convex`` required it walks only the box's generated list of
+linearly convex masks, flooding each for connectivity; otherwise every
+subset, with its byte of the box's subset table.  The box is capped at 25
+cells; the README's timings table gives what ``verify`` and ``enumerate``
+take.  Unlike ``verify``, the pass stays in one process: ``--dedup`` keeps
+the first mask of each class, so the masks must be met in ascending order.
 
 Randomized mode grows a connected blob cell by cell and then repairs it to
 linear convexity by closing every line gap; uniform subsets of useful size
@@ -47,9 +46,6 @@ PREDICATES: dict[str, Callable[[SupergridGraph], bool]] = {
     "locally_connected": is_locally_connected,
 }
 
-# Cheap predicates are evaluated first when filtering.
-_PREDICATE_ORDER = ("linear_convex", "connected", "two_connected", "locally_connected")
-
 
 @dataclass(frozen=True)
 class EnumSpec:
@@ -71,11 +67,6 @@ class EnumSpec:
             raise ValueError(f"unknown predicates: {sorted(unknown)}")
 
 
-def _mask_checks(kernel: bitboard.Box, require: frozenset[str]) -> list[Callable[[int], bool]]:
-    """The kernel's tests for ``require``, cheap ones first."""
-    return [getattr(kernel, "is_" + name) for name in _PREDICATE_ORDER if name in require]
-
-
 def box_masks(width: int, height: int) -> range:
     """Every subset mask of the box, ascending; raises BoxTooLarge past the cap."""
     cells = width * height
@@ -87,24 +78,26 @@ def box_masks(width: int, height: int) -> range:
 def _box_subsets(spec: EnumSpec) -> Iterator[tuple[int, int, int, bool, SupergridGraph | None]]:
     """(mask, connected, two_connected, linear_convex, canonical form or None) of each subset kept.
 
-    Ascending; the connectivity flags come from the box's subset table,
-    linear convexity from a pointer into the box's ascending
-    ``linear_convex_masks``, the only masks walked when ``require`` holds it,
-    and the rest of ``require`` from the kernel.  With ``dedup_symmetry``
-    only the first mask of each class is kept, with its ``canonical_form``.
+    Ascending.  With ``linear_convex`` in ``require`` only the box's
+    ``linear_convex_masks`` are walked, each flooded by ``is_two_connected``
+    and, if not 2-connected, ``is_connected``; otherwise every mask, with its
+    subset table byte and a pointer into that list.  The kernel is asked only
+    about local connectivity.  With ``dedup_symmetry`` only the first mask of
+    each class is kept, with its ``canonical_form``.
     """
     box_masks(spec.width, spec.height)  # the cap check comes before any table is built
     kernel = bitboard.box(spec.width, spec.height)
-    checks = _mask_checks(kernel, spec.require - {"connected", "two_connected", "linear_convex"})
     # The least table byte that passes: 2-connected (3) implies connected (1).
     need = 3 if "two_connected" in spec.require else int("connected" in spec.require)
+    local = "locally_connected" in spec.require
     min_vertices, dedup, seen = spec.min_vertices, spec.dedup_symmetry, set()
-    table, convex = kernel.two_connected_sweep(), kernel.linear_convex_masks
+    convex = kernel.linear_convex_masks
     at = 0  # convex[at] is the least linearly convex mask not below the last one kept
-    walk = ((m, table[m]) for m in convex) if "linear_convex" in spec.require else enumerate(table)
+    walk = (((m, 3 if kernel.is_two_connected(m) else kernel.is_connected(m)) for m in convex)
+            if "linear_convex" in spec.require else enumerate(kernel.two_connected_sweep()))
     for mask, flags in walk:
         if (flags < need or mask.bit_count() < min_vertices
-                or checks and not all(check(mask) for check in checks)):
+                or local and not kernel.is_locally_connected(mask)):
             continue
         canon = None
         if dedup:
@@ -191,11 +184,14 @@ def random_graph(spec: EnumSpec) -> SupergridGraph:
     or when the blob cannot grow further.
 
     The blob is a box mask; the fringe's ascending set bits are the candidate
-    cells in (y, x) order, and the kernel closes gaps and tests ``require``.
+    cells in (y, x) order.  Every blob is connected and linearly convex (a
+    fringe cell is a king move from it, a filled gap a run of king moves), so
+    the kernel tests only ``two_connected`` and ``locally_connected``.
     """
     rng = random.Random(spec.seed)
     kernel = bitboard.box(spec.width, spec.height)
-    checks = _mask_checks(kernel, spec.require)
+    checks = [getattr(kernel, "is_" + name) for name in ("two_connected", "locally_connected")
+              if name in spec.require]
     mask = 1 << rng.randrange(spec.width * spec.height)
     for _ in range(GROWTH_BUDGET):
         if mask.bit_count() >= spec.min_vertices and all(check(mask) for check in checks):

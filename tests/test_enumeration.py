@@ -14,6 +14,7 @@ from supergrid import (
     canonical_form,
     enumerate_graphs,
     from_points,
+    is_connected,
     is_linear_convex,
     is_two_connected,
     linear_convex_closure,
@@ -104,8 +105,12 @@ def _masks_4x4(graphs) -> list[int]:
 
 @pytest.mark.parametrize("flood", ["kept", "raises"])
 def test_enumerate_two_connected_reads_the_subset_table(box_sweep, monkeypatch, flood):
-    # 2-connectivity in require comes from the subset table, checked against
-    # the Point predicates over every 4x4 mask, and floods no mask on its own.
+    # The whole-box walk reads 2-connectivity from the subset table, checked
+    # against the Point predicates over every 4x4 mask, and floods no mask on
+    # its own.  The listed pass floods each linearly convex mask by design, so
+    # the strict spec is checked without the stub.
+    strict = EnumSpec(4, 4, require={"two_connected", "linear_convex"})
+    assert _masks_4x4(enumerate_graphs(strict)) == box_sweep.strict_masks
     if flood == "raises":
         def no_flood(self, mask):
             raise AssertionError("enumerate_graphs flooded a mask for 2-connectivity")
@@ -115,8 +120,29 @@ def test_enumerate_two_connected_reads_the_subset_table(box_sweep, monkeypatch, 
         spec = EnumSpec(4, 4, min_vertices=min_vertices, require={"two_connected"})
         assert _masks_4x4(enumerate_graphs(spec)) == [
             m for m in two_connected if m.bit_count() >= min_vertices]
-    strict = EnumSpec(4, 4, require={"two_connected", "linear_convex"})
-    assert _masks_4x4(enumerate_graphs(strict)) == box_sweep.strict_masks
+
+
+@pytest.mark.parametrize("dedup", [False, True])
+@pytest.mark.parametrize("width,height", [(4, 4), (5, 3), (3, 5)])
+def test_listed_pass_reads_no_subset_table(monkeypatch, width, height, dedup):
+    # With linear_convex required, the walk over the generated list floods
+    # each mask instead of building the table, and keeps exactly the whole
+    # walk's convex tuples, flags and canonical forms included.  A class's
+    # masks share their size, so --min 5 keeps the whole walk's tuples of
+    # five or more cells.
+    others = [set(), {"connected"}, {"two_connected"}, {"locally_connected"}]
+    whole = [list(_box_subsets(EnumSpec(width, height, 0, require, dedup))) for require in others]
+
+    def no_table(*args):
+        raise AssertionError("the listed pass built a subset table")
+
+    monkeypatch.setattr(bitboard.Box, "two_connected_sweep", no_table)
+    monkeypatch.setattr(bitboard.Box, "fill_two_connected", no_table)
+    for require, kept in zip(others, whole):
+        for min_vertices in (0, 5):
+            spec = EnumSpec(width, height, min_vertices, require | {"linear_convex"}, dedup)
+            assert list(_box_subsets(spec)) == [
+                t for t in kept if t[3] and t[0].bit_count() >= min_vertices], require
 
 
 @pytest.mark.parametrize("dedup", [False, True])
@@ -239,6 +265,23 @@ def test_random_graph_pinned_on_large_strict_boxes():
     assert len(large) == 601
     assert hashlib.sha256(listing).hexdigest() == (
         "6dd18058ed250f1455517e5515a1441733f7e1d74faa095dbbe1f4893d54d0b7")
+
+
+@pytest.mark.parametrize("width,height", [(8, 8), (5, 3), (12, 12)])
+def test_growth_keeps_every_blob_connected_and_linearly_convex(monkeypatch, width, height):
+    # Growth guarantees both, which is why random_graph tests neither name in
+    # require and never asks the kernel whether a mask is linearly convex.
+    def no_test(self, mask):
+        raise AssertionError("random_graph tested a mask for linear convexity")
+
+    monkeypatch.setattr(bitboard.Box, "is_linear_convex", no_test)
+    for seed in range(200):
+        spec = EnumSpec(width, height, min_vertices=1 + seed % (width * height), seed=seed)
+        g = random_graph(spec)
+        assert len(g) >= spec.min_vertices
+        assert is_connected(g) and is_linear_convex(g), seed
+        both = EnumSpec(width, height, spec.min_vertices, {"connected", "linear_convex"}, seed=seed)
+        assert random_graph(both) == g, seed
 
 
 def test_random_graph_budget_exhausted_on_impossible_spec():
