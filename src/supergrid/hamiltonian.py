@@ -57,6 +57,16 @@ u ~ x ~ v); a rewired cycle is a ``Cycle`` (distinct vertices, every edge
 checked) built from the old cycle's vertices plus one vertex of g, and
 must hold exactly those; the final cycle is a ``Cycle`` that must cover g.
 Only caller-supplied cycles go through :func:`~supergrid.cycles.validate_cycle`.
+
+:func:`find_hamiltonian_cycle` tests linear convexity (strict mode) before
+it grows anything, but not 2-connectivity: a Hamiltonian cycle of a graph
+on at least 3 vertices proves it, so the final ``Cycle`` certifies it.  The
+engine first runs DIRECT_INSERT steps alone (``_Engine.grow`` with
+``rare=False``), and the lowpoint DFS runs only if they stall short of
+covering g, before any rare rule, or when there is no seed triangle or an
+ExtensionFailed outcome is about to be reported.  A graph that fails it
+gets NoCycleExists naming ``two_connected``.  :func:`seed_cycle` grows no
+cycle, so it still tests both predicates first.
 """
 
 from __future__ import annotations
@@ -180,7 +190,9 @@ def seed_cycle(g: SupergridGraph) -> Cycle:
 
     u is the (y, x)-lexicographically smallest vertex; (v, w) is the first
     adjacent pair of its neighbor list in scan order.  Local connectivity
-    (guaranteed by the preconditions) makes that pair exist.
+    (guaranteed by the preconditions) makes that pair exist.  A triangle
+    certifies nothing about g, so both preconditions are tested first,
+    2-connectivity before linear convexity (PreconditionViolated).
     """
     table = vertex_ids(g)
     failed = _failed_precondition(g, table, strict=True)
@@ -374,7 +386,7 @@ class _Engine:
     negated for ``reverse``); it may hold stale entries too, so readiness is
     decided by ``_tail`` when a vertex is popped.  ``load`` starts the heap as
     the whole frontier, and a splice pushes the vertices its two new edges
-    can make ready (see ``step``).
+    can make ready (see ``grow``).
     """
 
     def __init__(self, g: SupergridGraph, table: VertexTable, ids: Sequence[int],
@@ -431,30 +443,49 @@ class _Engine:
         return best
 
     def step(self) -> None:
-        """Attach one vertex and record it: DIRECT_INSERT if the heap holds a ready vertex."""
-        heap, on, nbrs, succ, pred = self.heap, self.on, self.nbrs, self.succ, self.pred
-        while heap:
-            x = -heappop(heap) if self.reverse else heappop(heap)
-            if on[x]:
-                continue
-            u = self._tail(x)
-            if u < 0:
-                continue
-            v = succ[u]
-            if not (on[u] and u in nbrs[x] and v in nbrs[x]):
-                raise self._stuck(self.cycle())
-            before = self.k
-            self.label[x] = self._label_after(u)
-            succ[u], pred[x], succ[x], pred[v] = x, u, v, x
-            on[x] = 1
-            self.k += 1
-            # Only the new edges (u, x) and (x, v) can make a vertex ready.
-            for w in nbrs[x]:
-                if not on[w] and (u in nbrs[w] or v in nbrs[w]):
-                    heappush(heap, -w if self.reverse else w)
-            self.trace.records.extend((before, x, u))
-            return
-        self._rewire()
+        """Attach one vertex and record it (see ``grow``)."""
+        self.grow(self.k + 1)
+
+    def grow(self, stop: int, rare: bool = True) -> None:
+        """Attach vertices until the cycle holds ``stop``, recording each step.
+
+        A DIRECT_INSERT step is taken while the heap holds a ready vertex;
+        when none is left the rare rules run (``_rewire``), or, without
+        ``rare``, the call returns with the cycle still short of ``stop``.
+        The state lives in locals, reloaded after a rewire replaces it.
+        """
+        records, nbrs, reverse, top, tail = (self.trace.records, self.nbrs, self.reverse,
+                                             self.top, self._tail)
+        k = self.k
+        while True:
+            heap, on, succ, pred, label, head = (self.heap, self.on, self.succ, self.pred,
+                                                 self.label, self.head)
+            while k < stop and heap:
+                x = -heappop(heap) if reverse else heappop(heap)
+                if on[x]:
+                    continue
+                u = tail(x)
+                if u < 0:
+                    continue
+                v, near = succ[u], nbrs[x]
+                if not (on[u] and u in near and v in near):
+                    self.k = k
+                    raise self._stuck(self.cycle())
+                hi = top if v == head else label[v]
+                label[x] = (label[u] + hi) // 2 if hi - label[u] > 1 else self._label_after(u)
+                succ[u], pred[x], succ[x], pred[v] = x, u, v, x
+                on[x] = 1
+                # Only the new edges (u, x) and (x, v) can make a vertex ready.
+                for w in near:
+                    if not on[w] and (u in nbrs[w] or v in nbrs[w]):
+                        heappush(heap, -w if reverse else w)
+                records.extend((k, x, u))
+                k += 1
+            self.k = k
+            if k >= stop or not rare:
+                return
+            self._rewire()
+            k = self.k
 
     def _rewire(self) -> None:
         """No direct insertion: the claim rewires, then the fallback, on a Cycle."""
@@ -558,23 +589,32 @@ def find_hamiltonian_cycle(
 ) -> HamiltonianResult:
     """Seed-and-extend pipeline; every outcome is a HamiltonianResult.
 
-    Strict mode demands 2-connectivity and linear convexity up front and
-    reports NoCycleExists naming the failed predicate otherwise; on passing
-    inputs an ExtensionFailed outcome would contradict the extendability
-    theorem, so its witness is handed through verbatim.  Permissive mode
-    runs the same pipeline on any 2-connected graph as a conjecture probe,
-    where ExtensionFailed is a legitimate answer.
+    Strict mode requires 2-connectivity and linear convexity and reports
+    NoCycleExists naming the failed predicate otherwise; on passing inputs
+    an ExtensionFailed outcome would contradict the extendability theorem,
+    so its witness is handed through verbatim.  Permissive mode runs the
+    same pipeline on any 2-connected graph as a conjecture probe, where
+    ExtensionFailed is a legitimate answer.
+
+    Only linear convexity is tested up front; a covering cycle certifies
+    2-connectivity, so the DFS runs only when the cycle cannot (see the
+    module docstring), and a linearly convex graph that is not 2-connected
+    pays for the DIRECT_INSERT steps before it is rejected.
     """
     table = vertex_ids(g)
-    failed = _failed_precondition(g, table, strict)
-    if failed is not None:
+    if strict and not is_linear_convex(g, table[0]):
+        failed = _failed_precondition(g, table, strict=False) or "linear_convex"
         return HamiltonianResult(status="no_cycle", failed_predicate=failed)
-    return _seed_and_extend(g, reverse_frontier, table)
+    return _seed_and_extend(g, reverse_frontier, table, certify=True)
 
 
 def _seed_and_extend(g: SupergridGraph, reverse_frontier: bool = False,
-                     table: VertexTable | None = None) -> HamiltonianResult:
-    """find_hamiltonian_cycle after its precheck; builds g's vertex_ids unless given."""
+                     table: VertexTable | None = None, certify: bool = False) -> HamiltonianResult:
+    """find_hamiltonian_cycle after its precheck; builds g's vertex_ids unless given.
+
+    With ``certify``, g's 2-connectivity is not yet known, and the DFS runs
+    only when the cycle cannot certify it (see the module docstring).
+    """
     table = vertex_ids(g) if table is None else table
     engine = None
     try:
@@ -582,12 +622,19 @@ def _seed_and_extend(g: SupergridGraph, reverse_frontier: bool = False,
         if seed is None:
             raise ExtensionStuck(StuckWitness(g, None, None))
         engine = _Engine(g, table, seed, reverse_frontier)
-        while engine.k < len(g):
-            engine.step()
+        if certify:
+            engine.grow(len(g), rare=False)
+            if engine.k < len(g):  # stalled: the rare rules need a 2-connected g
+                certify = False
+                if not is_two_connected(g, table[1]):
+                    return HamiltonianResult(status="no_cycle", failed_predicate="two_connected")
+        engine.grow(len(g))
         cycle = engine.cycle()
         if cycle.vertex_set() != g.vertices:
             raise ExtensionStuck(StuckWitness(g, cycle, None))
     except ExtensionStuck as stuck:
+        if certify and not is_two_connected(g, table[1]):
+            return HamiltonianResult(status="no_cycle", failed_predicate="two_connected")
         trace = ExtensionTrace() if engine is None else engine.trace
         return HamiltonianResult(status="extension_failed", trace=trace, witness=stuck.witness)
     return HamiltonianResult(status="cycle", cycle=cycle, trace=engine.trace)

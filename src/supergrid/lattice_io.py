@@ -13,7 +13,11 @@ Output bytes are deterministic for fixed inputs (integer arithmetic only).
 JSON reports and trace lines are the result dataclasses, written by the
 standard encoder with one ``default`` hook: keys are field names in declaration
 order, points are ``[x, y]`` and enums their values, so a new ``ExtensionStep``
-field is a new JSONL key with no edit here.
+field is a new JSONL key with no edit here.  A trace's DIRECT_INSERT steps,
+nearly all of its lines, are written through one line template instead: the
+encoder's own line for a placeholder step, built once, with the step's five
+ints (its cycle length before, then the attached vertex and the anchor u1)
+put in place of the placeholder's; no ``ExtensionStep`` is built for them.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from .classify import ClassificationReport
 from .cycles import Cycle
 from .errors import CycleFormatError, InvalidCharacter
 from .grid import Point, SupergridGraph
-from .hamiltonian import ExtensionTrace
+from .hamiltonian import ExtensionRule, ExtensionStep, ExtensionTrace
 
 
 def _rows(text: str) -> list[str]:
@@ -145,6 +149,35 @@ def report_to_json(report: ClassificationReport) -> str:
     return json.dumps(report, indent=2, default=_json_default)
 
 
+def _direct_line() -> str:
+    """The JSONL line of a DIRECT_INSERT step as a ``str.format`` template.
+
+    The encoder writes a placeholder step whose five ints are sentinels, each
+    of which must occur exactly once in the line; field i replaces sentinel i.
+    """
+    sentinels = (1000001, 1000002, 1000003, 1000004, 1000005)
+    k, x, y, ux, uy = sentinels
+    step = ExtensionStep(k, Point(x, y), ExtensionRule.DIRECT_INSERT, Point(ux, uy))
+    line = _ENCODER.encode(step).replace("{", "{{").replace("}", "}}")
+    for i, sentinel in enumerate(map(str, sentinels)):
+        if line.count(sentinel) != 1:  # checked under -O too
+            raise AssertionError(f"sentinel {sentinel} in {line}")
+        line = line.replace(sentinel, f"{{{i}}}")
+    return line + "\n"
+
+
+_DIRECT_LINE = _direct_line()
+
+
 def trace_to_jsonl(trace: ExtensionTrace) -> str:
     """JSON-lines serialization of a whole trace: one line per step, keyed by its field names."""
-    return "".join(_ENCODER.encode(step) + "\n" for step in trace.steps)
+    it, points, rare = iter(trace.records), trace.points, trace.rare
+    direct, encode = _DIRECT_LINE.format, _ENCODER.encode
+    lines = []
+    for k, x, u in zip(it, it, it):
+        if x < 0:
+            lines.append(encode(rare[u]) + "\n")
+        else:
+            p, a = points[x], points[u]
+            lines.append(direct(k, p.x, p.y, a.x, a.y))
+    return "".join(lines)

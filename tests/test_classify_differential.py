@@ -134,16 +134,20 @@ def test_precheck_order_matches_reference_on_4x4_universe(monkeypatch):
     """``failed_predicate`` and ``seed_cycle``'s error follow the reference order.
 
     The predicates come from the box kernel, which the test above holds to
-    the reference on every 4x4 mask.  Graphs that pass go on to the
-    seed-and-extend core, stubbed here: the solves themselves are pinned by
-    the golden rule table and the permissive probe.
+    the reference on every 4x4 mask.  The real solver runs on every mask in
+    both modes: 2-connectivity is decided only when no covering cycle
+    certifies it, after the DIRECT_INSERT steps, and must still be named
+    first.  Every graph that reaches the seed-and-extend core (each linearly
+    convex one in strict mode, all of them in permissive mode) gets the
+    precheck's table.
     """
     box = bitboard.box(4, 4)
-    solved = object()
+    core, handed = hamiltonian._seed_and_extend, Counter()
 
-    def seed_and_extend(g, reverse_frontier, table):
+    def seed_and_extend(g, reverse_frontier, table, certify):
         assert table[0] == g.sorted_vertices()  # the precheck's table, handed on
-        return solved
+        handed[certify] += 1
+        return core(g, reverse_frontier, table, certify)
 
     monkeypatch.setattr(hamiltonian, "_seed_and_extend", seed_and_extend)
     outcomes = Counter()
@@ -154,7 +158,8 @@ def test_precheck_order_matches_reference_on_4x4_universe(monkeypatch):
             expected = ref.failed_precondition(two_connected, linear_convex, strict)
             result = find_hamiltonian_cycle(g, strict=strict)
             if expected is None:
-                assert result is solved, (mask, strict)
+                assert result.status in ("cycle", "extension_failed"), (mask, strict)
+                outcomes[strict, result.status] += 1
             else:
                 assert (result.status, result.failed_predicate) == ("no_cycle", expected), mask
             outcomes[strict, expected] += 1
@@ -170,6 +175,10 @@ def test_precheck_order_matches_reference_on_4x4_universe(monkeypatch):
         (True, "two_connected"): 65_536 - 8_433,
         (True, "linear_convex"): 8_433 - 1_773,
         (True, None): 1_773,
+        (True, "cycle"): 1_773,
         (False, "two_connected"): 65_536 - 8_433,
         (False, None): 8_433,
+        (False, "cycle"): 4_163,
+        (False, "extension_failed"): 4_270,
     })
+    assert handed == Counter({True: 2_962 + 65_536})

@@ -24,6 +24,7 @@ from supergrid import (
     extension_steps,
     find_hamiltonian_cycle,
     from_points,
+    is_linear_convex,
     seed_cycle,
     trace_to_jsonl,
     validate_cycle,
@@ -240,6 +241,75 @@ def test_permissive_mode_still_requires_two_connected():
     r = find_hamiltonian_cycle(from_points(pts((0, 0), (1, 0), (2, 0))), strict=False)
     assert r.status == "no_cycle"
     assert r.failed_predicate == "two_connected"
+
+
+def corner_pendant(n: int):
+    """An n x n block and one vertex diagonally off its last corner.
+
+    The pendant's one neighbour is a cut vertex, so the graph is linearly
+    convex but not 2-connected, and DIRECT_INSERT covers all of it but the
+    pendant.
+    """
+    return from_points([*block(n, n).vertices, P(n, n)])
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_rejected_input_reaches_no_rare_rule(monkeypatch, strict):
+    # The DFS runs once DIRECT_INSERT stalls, before a claim rewire or the
+    # O(k^3) fallback could run on the 16,384-vertex cycle.
+    def refuse(*args):
+        raise AssertionError("a rare rule ran on a graph that is not 2-connected")
+
+    g = corner_pendant(128)
+    assert is_linear_convex(g)
+    monkeypatch.setattr(supergrid.hamiltonian, "_claim_rewire", refuse)
+    monkeypatch.setattr(supergrid.hamiltonian, "_fallback_search", refuse)
+    r = find_hamiltonian_cycle(g, strict=strict)
+    assert (r.status, r.failed_predicate, r.trace) == ("no_cycle", "two_connected", None)
+
+
+@pytest.fixture
+def dfs_calls(monkeypatch):
+    """The sizes of the graphs the solver hands the 2-connectivity DFS, in call order."""
+    calls, dfs = [], supergrid.hamiltonian.is_two_connected
+
+    def counted(g, nbrs=None):
+        calls.append(len(g))
+        return dfs(g, nbrs)
+
+    monkeypatch.setattr(supergrid.hamiltonian, "is_two_connected", counted)
+    return calls
+
+
+@pytest.mark.parametrize("g", [block(24, 24), disc(14.7, 0)], ids=["block576", "disc677"])
+def test_covering_cycle_certifies_two_connectivity(dfs_calls, g):
+    r = find_hamiltonian_cycle(g, strict=True)
+    assert r.found and r.trace.rule_counts()["DIRECT_INSERT"] == len(g) - 3
+    assert dfs_calls == []
+
+
+def test_dfs_runs_once_before_the_first_rare_rule(monkeypatch, dfs_calls):
+    claim, seen = supergrid.hamiltonian._claim_rewire, []
+
+    def claim_rewire(*args):
+        seen.append(len(dfs_calls))
+        return claim(*args)
+
+    monkeypatch.setattr(supergrid.hamiltonian, "_claim_rewire", claim_rewire)
+    g = mask_to_graph(20159, 4)
+    r = find_hamiltonian_cycle(g, strict=False)
+    assert r.found and r.trace.rule_counts()["CLAIM1_REWIRE"] == 1
+    assert dfs_calls == [len(g)] and seen and set(seen) == {1}
+
+
+# No seed triangle: the DFS runs before the stuck outcome would be reported.
+@pytest.mark.parametrize("g", [block(9, 1), block(2, 1), block(1, 1), from_points([])],
+                         ids=["strip1x9", "two_vertices", "one_vertex", "empty"])
+@pytest.mark.parametrize("strict", [True, False])
+def test_no_seed_triangle_and_not_two_connected(g, strict):
+    r = find_hamiltonian_cycle(g, strict=strict)
+    assert (r.status, r.failed_predicate, r.trace, r.witness) == (
+        "no_cycle", "two_connected", None, None)
 
 
 def test_monotone_growth_checked_after_every_step():
