@@ -17,10 +17,10 @@ order is the (y, x) vertex order used everywhere else in the library.  A
 ``neighbours`` takes W*H bits per cell, so it is built on first use, only by
 the oracle and the whole-box passes' subset table (``verify``, and
 ``enumerate`` without ``linear_convex`` required): one byte per subset, bit 0
-its connected flag and bit 1 its 2-connected flag, filled by one ascending walk
-over the whole box: into a ``bytearray``, or, in ``verify`` on several CPUs,
-chunk by chunk into a shared mapping whose filled chunks its forked workers
-check while the walk goes on.  The line tables grow linearly with the box.
+its connected flag and bit 1 its 2-connected flag.  ``enumerate`` fills it by
+one ascending walk into a ``bytearray``; ``verify``'s processes fill a shared
+mapping chunk by chunk, each chunk once those holding its masks' one-smaller
+submasks are filled.  The line tables grow linearly with the box.
 
 The box passes read linear convexity from ``linear_convex_masks``, also built
 on first use and kept, which is generated rather than filtered: each row is
@@ -198,11 +198,11 @@ class Box:
         leaves it connected and holding a neighbour of v (take v a leaf of a
         spanning tree); it is 2-connected iff it has three or more cells and
         every such drop leaves it connected, so the drops stop once one
-        connects and one disconnects.  ``masks`` ascend and every mask below
-        them must already be filled, so each one-smaller submask is read
-        filled.  Answers as its references :meth:`is_connected` and the
-        tests' one flood per vertex ``reference_bitboard.is_two_connected``,
-        not the ring rule.
+        connects and one disconnects.  ``masks`` ascend, and each mask's
+        one-smaller submasks outside them must already be filled; those in
+        ``masks`` are filled first, as they are smaller.  Answers as its
+        references :meth:`is_connected` and the tests' one flood per vertex
+        ``reference_bitboard.is_two_connected``, not the ring rule.
         """
         neighbours = self.neighbours
         for mask in masks:

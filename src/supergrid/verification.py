@@ -17,23 +17,22 @@ The pass runs on masks: every predicate comes from the
 :mod:`supergrid.bitboard` kernel, and only the strict instances become
 ``SupergridGraph`` objects, handed to the solver's seed-and-extend core
 without re-running its ``Point`` precheck.  Connectivity and 2-connectivity
-come from the box's subset table, one byte per subset with two flags,
-filled by one serial ascending walk,
-:meth:`~supergrid.bitboard.Box.fill_two_connected`, and linear convexity
-from the box's generated ascending list of linearly convex masks, as in
-``enumerate``.  A chunk's checks of linearly convex masks (forced vertices,
-and on the 2-connected ones local connectivity and the solve) run on its
-slice of that list; only the oracle's work loops over every mask.
-The checks run over fixed-size chunks of masks on every usable CPU.  A
-``concurrent.futures`` pool of forked workers starts before the walk and
-shares the table as an anonymous shared mapping; each worker takes the next
-chunk from a shared counter and checks it once this process's walk has
-passed it, and after the walk this process takes chunks too, until none is
-left.  Each process adds up its chunks' reports, and the sums are added up
-with every violation list kept ascending, so the report is the same for any
-worker count.  An exception in the walk or in any check stops every process
-at its next chunk, and a worker that exits without reporting, as one killed
-for memory would, is a ``SupergridError``.  The ``Point`` predicates of
+come from the box's subset table, one byte per subset with two flags, and
+linear convexity from the box's generated ascending list of linearly convex
+masks, as in ``enumerate``.  A chunk's checks of linearly convex masks
+(forced vertices, and on the 2-connected ones local connectivity and the
+solve) run on its slice of that list; only the oracle's work loops over
+every mask.  Every process, on every usable CPU, runs one draw loop over
+fixed-size chunks of masks: draw the next chunk in level order, wait until
+the chunks it needs are filled, fill its table bytes with
+:meth:`~supergrid.bitboard.Box.fill_two_connected`, publish it as filled
+and check it.  The table is an anonymous shared mapping; the calling
+process runs the loop beside the forked workers of a ``concurrent.futures``
+pool, or alone.  Each process adds up its chunks' reports, and the sums are
+added up with every violation list kept ascending, so the report is the
+same for any worker count.  An exception in any process stops every process
+at its next draw or wait, and a worker that exits without reporting, as one
+killed for memory would, is a ``SupergridError``.  The ``Point`` predicates of
 :mod:`supergrid.classify` stay the general-input API and the reference the
 kernel is tested against.  The oracle searches the same masks with adjacency
 from the kernel's neighbour table and reads none of the sweep's predicates;
@@ -48,7 +47,9 @@ but is not itself a violation.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import functools
+import mmap
 import os
 import threading
 import time
@@ -178,16 +179,22 @@ def _tally_solve(report: SuiteReport, mask: int, g: SupergridGraph) -> bool:
     return solved
 
 
-# Masks per chunk: what a process draws, and how far the walk goes between
-# two reports of its progress.  A box of at most 11 cells is one chunk and
-# runs in this process: on a box that small a second worker costs more to
+# What a process draws, fills and checks: 2**CHUNK_BITS masks, a power of two
+# as _take's needs require, or a whole smaller box.  A box of at most 11 cells
+# is one chunk and runs in this process: there a second worker costs more to
 # start and hand its task than it saves (figures in CHANGES.md).
-CHUNK_MASKS = 1 << 11
+CHUNK_BITS = 11
 
 
 def _mask_chunks(size: int) -> list[range]:
-    """The masks ``range(size)`` in consecutive chunks of ``CHUNK_MASKS``."""
-    return [range(start, min(start + CHUNK_MASKS, size)) for start in range(0, size, CHUNK_MASKS)]
+    """The masks ``range(size)``, ``size`` a power of two, in chunks in level order.
+
+    Chunk i holds the masks ``i * n`` to ``(i + 1) * n - 1``, with ``n`` the
+    chunk size; level order is by the popcount of i, then by i.
+    """
+    n = min(1 << CHUNK_BITS, size)
+    return [range(i * n, (i + 1) * n)
+            for i in sorted(range(size // n), key=lambda i: (i.bit_count(), i))]
 
 
 def _worker_count() -> int:
@@ -204,52 +211,45 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
-_STOPPED = -1  # the walk count once any process has raised: every process stops at its next draw
+def _take(fill: Callable[[range], None], sweep: Callable[[range], SuiteReport],
+          chunks: list[range], counter, filled, stop) -> SuiteReport:
+    """Fill and check each next chunk drawn from the shared ``counter``; the sum of its reports.
 
-
-def _take(sweep: Callable[[range], SuiteReport], chunks: list[range], counter,
-          walked) -> SuiteReport:
-    """The sum of ``sweep(chunks[i])`` over each next index i drawn from the shared ``counter``.
-
-    Chunk i is swept once ``walked``, the shared count of chunks whose table
-    bytes are filled, has passed i; ``walked`` at ``_STOPPED`` stops this at
-    its next draw, and an exception here sets it there.
+    Chunk i needs the chunks whose index is i with one set bit cleared: a
+    mask's one-smaller submasks lie below it in chunk i or in one of those.
+    This waits until the ``filled`` flag of each is set, fills chunk i, sets
+    its flag and sweeps it.  ``chunks`` are in level order, so a chunk's needs
+    were all drawn before it, each by a process that is filling it or has
+    filled it: no process waits for good.  ``stop``, read at every draw and
+    every wait, ends this; an exception here sets it.
     """
     total = sweep(range(0))  # no masks: an empty report
     try:
-        while True:
+        while not stop.value:
             with counter.get_lock():
-                i = counter.value
-                counter.value = i + 1
-            if i >= len(chunks):
-                return total
-            while (done := walked.value) <= i:  # read under its lock
-                if done == _STOPPED:
-                    return total
-                # Polled: a Condition's notify waits for every sleeper to
-                # wake, so one dead sleeper would hang the walk.
-                time.sleep(0.001)
-            total.add(sweep(chunks[i]))
+                n = counter.value
+                counter.value = n + 1
+            if n >= len(chunks):
+                break
+            chunk = chunks[n]
+            i = chunk.start // len(chunk)
+            for need in (i ^ 1 << b for b in range(i.bit_length()) if i >> b & 1):
+                while not filled[need]:  # read under the array's lock
+                    if stop.value:
+                        return total
+                    # Polled: a Condition's notify waits for every sleeper to
+                    # wake, so one dead sleeper would hang every other process.
+                    time.sleep(0.001)
+            fill(chunk)
+            filled[i] = 1  # under the lock, so the chunk's bytes are visible first
+            total.add(sweep(chunk))
+        return total
     except BaseException:
-        walked.value = _STOPPED
+        stop.value = 1
         raise
 
 
-def _walk(box: bitboard.Box, table, chunks: list[range], walked) -> None:
-    """Fill ``table`` chunk by chunk, and after each publish in ``walked`` how many are filled."""
-    try:
-        for n, chunk in enumerate(chunks, 1):
-            box.fill_two_connected(table, chunk)
-            with walked.get_lock():  # so the chunk's bytes are visible before the count
-                if walked.value == _STOPPED:
-                    return
-                walked.value = n
-    except BaseException:
-        walked.value = _STOPPED
-        raise
-
-
-_inherited: tuple = ()  # a forked worker's (sweep, chunks, counter, walked)
+_inherited: tuple = ()  # a forked worker's arguments of _take
 
 
 def _inherit(*shared) -> None:
@@ -263,7 +263,7 @@ def _take_inherited() -> SuiteReport:
     return _take(*_inherited)
 
 
-def _sweep_masks(box: bitboard.Box, table: bytearray, oracle_limit: int,
+def _sweep_masks(box: bitboard.Box, table: bytearray | mmap.mmap, oracle_limit: int,
                  masks: range) -> SuiteReport:
     """Every check of :func:`run_box_suite` on ``masks``, in a report of their own.
 
@@ -304,47 +304,42 @@ def run_box_suite(width: int, height: int, oracle_limit: int = 12) -> SuiteRepor
 
     Violations are recorded by subset mask (see :mod:`supergrid.bitboard`).
     2-connectivity is read from the box's subset table, one byte per subset
-    (2**(width*height) bytes, 32 MB at the 25-cell cap), held for the sweep.
-    With one usable CPU, or a box of one chunk of ``CHUNK_MASKS`` masks, this
-    process fills the table and then checks every chunk.  Otherwise a
-    ``ProcessPoolExecutor`` of forked workers, up to one per usable CPU in
-    all, starts first, and the table is an anonymous shared mapping that this
-    process fills chunk by chunk, publishing after each chunk how many are
-    filled; a process that draws a chunk checks it once the walk has passed
-    it, and this process draws chunks too once its walk is done.  The report
-    is the same for any worker count.  An exception in the walk or in any
-    check stops every process at its next chunk and is raised here once the
-    pool has joined them; a worker that exits without reporting is a
-    ``SupergridError``.  A worker killed while it holds the counter's or the
-    walk count's lock, a window of a few instructions, would leave the other
-    processes waiting on that lock for good.  No forked worker outlives the
-    call.  ``oracle_checked`` counts every subset within ``oracle_limit``;
-    the oracle searches all of them but the 2-connected ones left unsolved.
+    (2**(width*height) bytes, 32 MB at the 25-cell cap), held for the sweep:
+    an anonymous shared mapping if workers fork.  :func:`_take` fills and
+    checks it in this process and in the forked workers of a
+    ``ProcessPoolExecutor``, up to one process per usable CPU and per chunk in
+    all; one process runs it with no pool.  The report is the same for any
+    worker count.  An exception in any process stops every process at its next
+    draw or wait and is raised here once the pool has joined them.  A worker
+    that exits without reporting is a ``SupergridError``; its future's end
+    sets the stop flag, since no one fills the chunk it held.  A worker killed
+    while it holds a shared lock, a window of a few instructions, would leave
+    the others waiting on that lock for good.  No forked worker outlives the
+    call.  ``oracle_checked`` counts every subset within ``oracle_limit``; the
+    oracle searches all of them but the 2-connected ones left unsolved.
     """
     # box_masks is the cap check, which comes before any table is built.
     report = SuiteReport(width=width, height=height, total_subsets=len(box_masks(width, height)))
+    import multiprocessing  # here, so that the other commands do not import it
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
     box = bitboard.box(width, height)
     chunks = _mask_chunks(box.full + 1)
     workers = min(_worker_count(), len(chunks))
-    if workers == 1:
-        sweep = functools.partial(_sweep_masks, box, box.two_connected_sweep(), oracle_limit)
-        for chunk in chunks:
-            report.add(sweep(chunk))
-        return report
-    import mmap  # only where workers start
-    import multiprocessing
-    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-
-    context = multiprocessing.get_context("fork")
-    counter, walked = context.Value("q", 0), context.Value("q", 0)
-    table = mmap.mmap(-1, box.full + 1)  # shared with the workers, zero-filled
+    table = mmap.mmap(-1, box.full + 1) if workers > 1 else bytearray(box.full + 1)
     box.linear_convex_masks  # generated once, here, so the forked workers inherit it
-    sweep = functools.partial(_sweep_masks, box, table, oracle_limit)
-    shared = (sweep, chunks, counter, walked)
+    context = multiprocessing.get_context("fork" if workers > 1 else None)
+    stop = context.Value("b", 0)
+    shared = (functools.partial(box.fill_two_connected, table),
+              functools.partial(_sweep_masks, box, table, oracle_limit), chunks,
+              context.Value("q", 0), context.Array("b", len(chunks)), stop)
+    pool = (ProcessPoolExecutor(workers - 1, context, _inherit, shared)
+            if workers > 1 else contextlib.nullcontext())  # one process runs with no pool
     try:
-        with ProcessPoolExecutor(workers - 1, context, _inherit, shared) as pool:
+        with pool:
             forked = [pool.submit(_take_inherited) for _ in range(workers - 1)]
-            _walk(box, table, chunks, walked)
+            for future in forked:  # a dead worker's chunk is never filled: stop every wait
+                future.add_done_callback(lambda f: f.exception() and setattr(stop, "value", 1))
             report.add(_take(*shared))
             for future in forked:
                 report.add(future.result())

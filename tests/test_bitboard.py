@@ -156,6 +156,21 @@ def test_two_connected_sweep_matches_floods(width, height):
         box.is_connected(m) | ref.is_two_connected(box, m) << 1 for m in range(1 << width * height)]
 
 
+@pytest.mark.parametrize("chunk", [1, 64, 1024])
+@pytest.mark.parametrize("width,height", [(w, h) for w in range(1, 5) for h in range(1, 5)] + [(5, 3)])
+def test_chunks_filled_in_level_order_equal_the_ascending_sweep(width, height, chunk):
+    # fill_two_connected needs each mask's one-smaller submasks filled.  With
+    # chunks of a power of two, chunk i's lie in it or in the chunks whose
+    # index is i with one set bit cleared, which come first in level order:
+    # by the popcount of i, then by i.
+    box = bitboard.box(width, height)
+    n = min(chunk, box.full + 1)
+    table = bytearray(box.full + 1)
+    for i in sorted(range((box.full + 1) // n), key=lambda i: (i.bit_count(), i)):
+        box.fill_two_connected(table, range(i * n, (i + 1) * n))
+    assert table == box.two_connected_sweep()
+
+
 GENERATED_BOXES = sorted({(w, h) for w in range(1, 5) for h in range(1, 5)}
                          | {(5, 3), (3, 5), (2, 6), (6, 2)}
                          | {(1, n) for n in range(1, 11)} | {(n, 1) for n in range(1, 11)})

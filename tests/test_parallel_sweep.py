@@ -1,13 +1,15 @@
 """``run_box_suite`` over forked workers: the same report as in one process.
 
 The worker count is the usable CPU count, and no option changes it, so these
-tests substitute ``verification._worker_count`` and shrink
-``verification.CHUNK_MASKS`` to split small boxes into several chunks.  The
-workers check chunks while this process walks the subset table, so some
-tests slow the walk down to make the workers wait for it.  The tests that
-bound how long a call may take fail at that bound, from a ``SIGALRM`` timer
-in this process, instead of waiting for a call that never returns; a watchdog
-thread would make ``_worker_count`` return 1 and run the box in one process.
+tests substitute ``verification._worker_count`` and lower
+``verification.CHUNK_BITS`` to split small boxes into several chunks.  Every
+process runs one draw loop: it draws chunks in level order, waits until the
+chunks a chunk needs are filled, then fills the chunk's table bytes and
+checks it.  Some tests slow down this process's fills, so that the forked
+workers wait for the chunks it fills.  The tests that bound how long a call
+may take fail at that bound, from a ``SIGALRM`` timer in this process,
+instead of waiting for a call that never returns; a watchdog thread would
+make ``_worker_count`` return 1 and run the box in one process.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ WORKERS = (2, 3, 1000)  # 1000 is more workers than any box here has chunks
 
 
 def _chunked(monkeypatch, width: int, height: int, workers: int) -> None:
-    """About six chunks for the box, the last one shorter, over ``workers`` workers."""
-    monkeypatch.setattr(verification, "CHUNK_MASKS", max(1, (1 << width * height) // 5 - 1))
+    """Eight chunks for the box (two for a box of one cell), over ``workers`` workers."""
+    monkeypatch.setattr(verification, "CHUNK_BITS", max(0, width * height - 3))
     monkeypatch.setattr(verification, "_worker_count", lambda: workers)
 
 
@@ -81,7 +83,7 @@ def test_every_chunk_sweeps_as_the_per_mask_reference(monkeypatch, width, height
         return report
 
     monkeypatch.setattr(verification, "_sweep_masks", checked_sweep)
-    monkeypatch.setattr(verification, "CHUNK_MASKS", chunk)
+    monkeypatch.setattr(verification, "CHUNK_BITS", chunk.bit_length() - 1)
     monkeypatch.setattr(verification, "_worker_count", lambda: workers)
     assert verification.run_box_suite(width, height) == expected
     assert convex_free.value > 0
@@ -122,14 +124,19 @@ def _within(seconds: float):
         signal.signal(signal.SIGALRM, previous)
 
 
-def _slow_walk(monkeypatch, seconds: float, fail_at: int | None = None) -> None:
-    """Sleep ``seconds`` before filling each chunk, and raise instead at mask ``fail_at``."""
-    fill = bitboard.Box.fill_two_connected
+def _slow_fill(monkeypatch, seconds: float, fail_at: int | None = None) -> None:
+    """Sleep ``seconds`` before each fill in this process, and raise at mask ``fail_at`` in any.
+
+    The forked workers' fills do not sleep, so they outrun this process and
+    draw chunks that need the ones it is still filling.
+    """
+    fill, parent = bitboard.Box.fill_two_connected, os.getpid()
 
     def slow_fill(box, table, masks):
-        time.sleep(seconds)
+        if os.getpid() == parent:
+            time.sleep(seconds)
         if masks.start == fail_at:
-            raise SizeBoundExceeded(f"stub walk failed at mask {fail_at}")
+            raise SizeBoundExceeded(f"stub fill failed at mask {fail_at}")
         fill(box, table, masks)
 
     monkeypatch.setattr(bitboard.Box, "fill_two_connected", slow_fill)
@@ -139,21 +146,23 @@ def _slow_walk(monkeypatch, seconds: float, fail_at: int | None = None) -> None:
 @pytest.mark.parametrize("width,height", [(4, 3), (2, 6), (3, 4)])
 def test_workers_that_outrun_the_walk_wait_for_it(monkeypatch, in_process, width, height,
                                                    workers):
-    # The walk sleeps 0.1 s a chunk and a chunk's checks take milliseconds, so
-    # every worker waits for the walk, and with three processes one draws
-    # past the last chunk while another still waits for it.
+    # This process sleeps 0.1 s a fill and a chunk's checks take
+    # milliseconds, so the workers wait for the chunks it fills, and with
+    # three processes one draws past the last chunk while another still waits.
     expected = in_process(width, height)
     _chunked(monkeypatch, width, height, workers)
-    _slow_walk(monkeypatch, 0.1)
+    _slow_fill(monkeypatch, 0.1)
     assert verification.run_box_suite(width, height) == expected
     assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("workers", [2, 3])
 def test_every_process_sweeps_a_walked_chunk(monkeypatch, in_process, workers):
-    # In whichever process sweeps a chunk, the chunk's table bytes are final.
+    # In whichever process sweeps a chunk, the chunk's table bytes are final,
+    # and the forked workers fill chunks too: the walk is split.
     expected, sweep, parent = bitboard.box(4, 3).two_connected_sweep(), verification._sweep_masks, os.getpid()
-    swept_in_workers = multiprocessing.get_context("fork").Value("q", 0)
+    context = multiprocessing.get_context("fork")
+    swept_in_workers, filled_in_workers = context.Value("q", 0), context.Value("q", 0)
 
     def checked_sweep(box, table, oracle_limit, masks):
         assert table[masks.start:masks.stop] == expected[masks.start:masks.stop], masks
@@ -164,20 +173,31 @@ def test_every_process_sweeps_a_walked_chunk(monkeypatch, in_process, workers):
 
     monkeypatch.setattr(verification, "_sweep_masks", checked_sweep)
     _chunked(monkeypatch, 4, 3, workers)
-    _slow_walk(monkeypatch, 0.05)
+    _slow_fill(monkeypatch, 0.05)
+    fill = bitboard.Box.fill_two_connected
+
+    def counted_fill(box, table, masks):
+        fill(box, table, masks)
+        if os.getpid() != parent:
+            with filled_in_workers.get_lock():
+                filled_in_workers.value += 1
+
+    monkeypatch.setattr(bitboard.Box, "fill_two_connected", counted_fill)
     assert verification.run_box_suite(4, 3) == in_process(4, 3)
     assert swept_in_workers.value > 0
+    assert filled_in_workers.value > 0
     assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("workers", [2, 3])
 @pytest.mark.parametrize("chunk", [0, 3])
 def test_an_exception_in_the_walk_stops_every_worker(monkeypatch, capsys, workers, chunk):
-    # The workers are waiting for the walk's chunk when it raises, and only
-    # the stop signal releases them.
+    # The other processes wait for the chunk when its fill raises (every
+    # chunk waits on chunk 0, directly or not, and chunk 7 needs chunk 3), and
+    # only the stop flag releases them.
     _chunked(monkeypatch, 4, 3, workers)
-    _slow_walk(monkeypatch, 0.1, chunk * verification.CHUNK_MASKS)
-    message = f"stub walk failed at mask {chunk * verification.CHUNK_MASKS}"
+    _slow_fill(monkeypatch, 0.1, chunk << verification.CHUNK_BITS)
+    message = f"stub fill failed at mask {chunk << verification.CHUNK_BITS}"
     start = time.perf_counter()
     with _within(30), pytest.raises(SizeBoundExceeded, match=f"^{message}$"):
         verification.run_box_suite(4, 3)
@@ -191,8 +211,8 @@ def test_an_exception_in_the_walk_stops_every_worker(monkeypatch, capsys, worker
 
 
 def test_an_exception_in_a_worker_stops_the_walk(monkeypatch):
-    # Six chunks each walked in 1 s: a walk that went on after a worker
-    # raised at its first chunk would hold the caller for about 6 s.
+    # This process fills each chunk after 1 s: had it gone on drawing after
+    # the worker raised at its first chunk, it would fill about five more.
     parent = os.getpid()
 
     def oracle(neighbours, mask, bound):
@@ -201,7 +221,7 @@ def test_an_exception_in_a_worker_stops_the_walk(monkeypatch):
 
     monkeypatch.setattr(verification, "brute_force_hamiltonian_mask", oracle)
     _chunked(monkeypatch, 4, 3, 2)
-    _slow_walk(monkeypatch, 1.0)
+    _slow_fill(monkeypatch, 1.0)
     start = time.perf_counter()
     with _within(4), pytest.raises(SizeBoundExceeded, match="in a worker$"):
         verification.run_box_suite(4, 3)
@@ -225,7 +245,7 @@ def test_worker_exception_reaches_the_caller(monkeypatch, capsys, where):
         return oracle(neighbours, mask, bound)
 
     monkeypatch.setattr(verification, "brute_force_hamiltonian_mask", failing_oracle)
-    monkeypatch.setattr(verification, "CHUNK_MASKS", 64)
+    monkeypatch.setattr(verification, "CHUNK_BITS", 6)
     monkeypatch.setattr(verification, "_worker_count", lambda: 2)
     with pytest.raises(SizeBoundExceeded, match=f"in the {where}$"):
         verification.run_box_suite(4, 3)
@@ -249,7 +269,7 @@ def test_an_exception_here_stops_the_forked_workers(monkeypatch):
         time.sleep(0.05)
 
     monkeypatch.setattr(verification, "brute_force_hamiltonian_mask", oracle)
-    monkeypatch.setattr(verification, "CHUNK_MASKS", 64)
+    monkeypatch.setattr(verification, "CHUNK_BITS", 6)
     monkeypatch.setattr(verification, "_worker_count", lambda: 2)
     start = time.perf_counter()
     with _within(30), pytest.raises(SizeBoundExceeded):
@@ -273,7 +293,7 @@ def test_a_dead_worker_is_an_error_line(monkeypatch, capsys):
         return oracle(neighbours, mask, bound)
 
     monkeypatch.setattr(verification, "brute_force_hamiltonian_mask", dying_oracle)
-    monkeypatch.setattr(verification, "CHUNK_MASKS", 64)
+    monkeypatch.setattr(verification, "CHUNK_BITS", 6)
     monkeypatch.setattr(verification, "_worker_count", lambda: 2)
     message = "a verify worker exited before it reported its chunks"
     with pytest.raises(SupergridError, match=f"^{message}$"):
@@ -281,6 +301,37 @@ def test_a_dead_worker_is_an_error_line(monkeypatch, capsys):
     assert multiprocessing.active_children() == []
     waited.clear()
     assert run_cli(["verify", "--box", "4x3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+    assert multiprocessing.active_children() == []
+
+
+def test_a_worker_that_dies_while_filling_releases_the_caller(monkeypatch, capsys):
+    # A forked worker exits at its first fill, leaving its chunk unfilled,
+    # and this process goes on to a chunk that needs it; only the stop flag,
+    # set as the worker's future ends, releases the wait.  This process waits
+    # 0.2 s at its own first fill, so that the worker draws a chunk.
+    fill, parent, waited = bitboard.Box.fill_two_connected, os.getpid(), []
+
+    def dying_fill(box, table, masks):
+        if os.getpid() != parent:
+            os._exit(1)
+        if not waited:
+            waited.append(masks)
+            time.sleep(0.2)
+        fill(box, table, masks)
+
+    monkeypatch.setattr(bitboard.Box, "fill_two_connected", dying_fill)
+    monkeypatch.setattr(verification, "CHUNK_BITS", 6)
+    monkeypatch.setattr(verification, "_worker_count", lambda: 2)
+    message = "a verify worker exited before it reported its chunks"
+    with _within(30):
+        with pytest.raises(SupergridError, match=f"^{message}$"):
+            verification.run_box_suite(4, 3)
+        assert multiprocessing.active_children() == []
+        waited.clear()
+        assert run_cli(["verify", "--box", "4x3"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: {message}\n"
@@ -296,9 +347,13 @@ def test_one_chunk_runs_in_process(monkeypatch):
 
 
 def test_mask_chunks_cover_the_masks_in_order(monkeypatch):
-    monkeypatch.setattr(verification, "CHUNK_MASKS", 3)
-    assert verification._mask_chunks(8) == [range(0, 3), range(3, 6), range(6, 8)]
-    assert verification._mask_chunks(6) == [range(0, 3), range(3, 6)]
+    # Level order: by the popcount of the chunk's index, then by the index.
+    monkeypatch.setattr(verification, "CHUNK_BITS", 1)
+    assert verification._mask_chunks(16) == [range(0, 2), range(2, 4), range(4, 6), range(8, 10),
+                                             range(6, 8), range(10, 12), range(12, 14),
+                                             range(14, 16)]
+    assert verification._mask_chunks(2) == [range(0, 2)]
+    assert verification._mask_chunks(1) == [range(0, 1)]
 
 
 def test_worker_count_is_the_usable_cpus_or_one_without_fork(monkeypatch):

@@ -11,19 +11,21 @@ from supergrid import bitboard, verification
 
 
 def test_oracle_limit_covers_the_full_25_cell_box(monkeypatch):
-    # The subset table and the sweep are cut to the full box alone; the real
-    # ones would walk all 2**25 subsets.
+    # The sweep is cut to one chunk, whose fill marks only the full box
+    # 2-connected and whose checks see only the full box; the real ones would
+    # walk all 2**25 subsets.
     full = bitboard.box(5, 5).full
+    sweep = verification._sweep_masks
 
-    class FullBoxTable:
-        """The full box's table byte, 2-connected, by index or as a one-mask slice."""
+    def fill_full_box(box, table, masks):
+        table[full] = 3
 
-        def __getitem__(self, key):
-            assert key in (full, slice(full, full + 1)), key
-            return 3 if key == full else b"\x03"
+    def sweep_full_box(box, table, oracle_limit, masks):
+        return sweep(box, table, oracle_limit, range(full, full + 1) if masks else masks)
 
-    monkeypatch.setattr(bitboard.Box, "two_connected_sweep", lambda self: FullBoxTable())
-    monkeypatch.setattr(verification, "_mask_chunks", lambda size: [range(full, full + 1)])
+    monkeypatch.setattr(verification, "_mask_chunks", lambda size: [range(1)])
+    monkeypatch.setattr(bitboard.Box, "fill_two_connected", fill_full_box)
+    monkeypatch.setattr(verification, "_sweep_masks", sweep_full_box)
     report = verification.run_box_suite(5, 5, oracle_limit=25)
     assert report.total_subsets == 1 << 25
     assert report.strict_instances == 1
